@@ -11,6 +11,8 @@ package metric
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"mendel/internal/matrix"
 	"mendel/internal/seq"
@@ -24,6 +26,10 @@ type Metric interface {
 	// length. Implementations panic on unequal lengths: segment lengths are
 	// a structural invariant of the Mendel index, not a runtime condition.
 	Distance(a, b []byte) int
+	// Profile fills buf (reusing its storage when it is large enough) with
+	// the profile of q and returns it: Profile(q, buf).Distance(b) equals
+	// Distance(q, b) for every b of q's length.
+	Profile(q []byte, buf Profile) Profile
 	// MaxPerResidue returns the largest possible single-position distance,
 	// used to normalize distances into [0,1] for thresholding.
 	MaxPerResidue() int
@@ -31,11 +37,53 @@ type Metric interface {
 	Name() string
 }
 
+// Profile is a per-query distance table: p[i][c] is the distance between
+// residue i of the query and byte c. A k-NN lookup compares one query with
+// thousands of keys, so it builds the profile once and then pays one table
+// load per residue; a 16-residue window's profile is 8 KiB and stays in L1.
+type Profile [][256]uint16
+
+// Distance returns the distance between the profiled query and key, which
+// must have the query's length.
+func (p Profile) Distance(key []byte) int {
+	var d [1]int
+	p.Distances(d[:], key)
+	return d[0]
+}
+
+// Distances sets dst[j] to the distance between the profiled query and the
+// j-th key of keys, which holds len(dst) keys of the query's length back to
+// back. This is the k-NN kernel: one call scores a whole vp-tree leaf. Per
+// key it has no data-dependent branch (abandoning a sum once it passes the
+// search radius was measured slower) and, sixteen positions — Mendel's block
+// length — at a time, no bounds check or loop overhead: two loads a residue.
+func (p Profile) Distances(dst []int, keys []byte) {
+	n := len(p)
+	if len(keys) != len(dst)*n {
+		panic(fmt.Sprintf("metric: %d key bytes for %d keys of length %d", len(keys), len(dst), n))
+	}
+	for j := range dst {
+		rows, key := p, keys[j*n:(j+1)*n]
+		d := 0
+		for len(rows) >= 16 {
+			r, k := (*[16][256]uint16)(rows), (*[16]byte)(key)
+			d += int(r[0][k[0]]) + int(r[1][k[1]]) + int(r[2][k[2]]) + int(r[3][k[3]]) +
+				int(r[4][k[4]]) + int(r[5][k[5]]) + int(r[6][k[6]]) + int(r[7][k[7]]) +
+				int(r[8][k[8]]) + int(r[9][k[9]]) + int(r[10][k[10]]) + int(r[11][k[11]]) +
+				int(r[12][k[12]]) + int(r[13][k[13]]) + int(r[14][k[14]]) + int(r[15][k[15]])
+			rows, key = rows[16:], key[16:]
+		}
+		for i := range rows {
+			d += int(rows[i][key[i]])
+		}
+		dst[j] = d
+	}
+}
+
 // Hamming is the DNA distance: the number of positions at which two
-// equal-length segments differ (§III-B). Ambiguity code N counts as a
-// mismatch against everything including itself, making it conservatively far
-// from all residues while remaining a metric (d(N,N)=0 would also be fine;
-// we use byte equality so d(N,N)=0 holds).
+// equal-length segments differ (§III-B). Positions are compared by byte
+// equality, so the ambiguity code N is a mismatch against every other
+// residue and a match against itself (d(N,N)=0), as a metric requires.
 type Hamming struct{}
 
 // Distance implements Metric.
@@ -48,6 +96,24 @@ func (Hamming) Distance(a, b []byte) int {
 		}
 	}
 	return d
+}
+
+// hammingRow is a profile position before its query residue is cleared.
+var hammingRow = func() (row [256]uint16) {
+	for c := range row {
+		row[c] = 1
+	}
+	return row
+}()
+
+// Profile implements Metric.
+func (Hamming) Profile(q []byte, buf Profile) Profile {
+	buf = slices.Grow(buf[:0], len(q))[:len(q)]
+	for i, c := range q {
+		buf[i] = hammingRow
+		buf[i][c] = 0
+	}
+	return buf
 }
 
 // MaxPerResidue implements Metric.
@@ -114,6 +180,15 @@ func (m *MatrixMetric) Distance(a, b []byte) int {
 	return d
 }
 
+// Profile implements Metric.
+func (m *MatrixMetric) Profile(q []byte, buf Profile) Profile {
+	buf = slices.Grow(buf[:0], len(q))[:len(q)]
+	for i, c := range q {
+		buf[i] = m.table[c]
+	}
+	return buf
+}
+
 // MaxPerResidue implements Metric.
 func (m *MatrixMetric) MaxPerResidue() int { return m.maxPer }
 
@@ -142,7 +217,7 @@ func ByName(name string) (Metric, error) {
 	case "mendel-BLOSUM62":
 		return defaultProtein, nil
 	case "mendel-PAM250":
-		return pam250Once(), nil
+		return pam250(), nil
 	default:
 		return nil, fmt.Errorf("metric: unknown metric %q", name)
 	}
@@ -150,14 +225,9 @@ func ByName(name string) (Metric, error) {
 
 var defaultProtein = NewMatrixMetric(matrix.BLOSUM62)
 
-var pam250Metric *MatrixMetric
-
-func pam250Once() *MatrixMetric {
-	if pam250Metric == nil {
-		pam250Metric = NewMatrixMetric(matrix.PAM250)
-	}
-	return pam250Metric
-}
+// pam250 is built on first use: few clusters index with it, and concurrent
+// node bootstraps may ask for it at the same time.
+var pam250 = sync.OnceValue(func() *MatrixMetric { return NewMatrixMetric(matrix.PAM250) })
 
 func checkLen(a, b []byte) {
 	if len(a) != len(b) {

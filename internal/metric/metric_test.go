@@ -2,12 +2,39 @@ package metric
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"mendel/internal/matrix"
 	"mendel/internal/seq"
 )
+
+// TestByNameConcurrent guards the lazily built PAM250 metric: cluster nodes
+// bootstrap concurrently and all resolve the metric by name. It is the first
+// test in the package so that nothing has resolved PAM250 before it; run
+// with -race.
+func TestByNameConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([]Metric, 16)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := ByName("mendel-PAM250")
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = m
+		}(i)
+	}
+	wg.Wait()
+	for _, m := range got {
+		if m != got[0] {
+			t.Fatal("concurrent lookups built more than one PAM250 metric")
+		}
+	}
+}
 
 func TestHammingBasics(t *testing.T) {
 	h := Hamming{}
@@ -19,7 +46,10 @@ func TestHammingBasics(t *testing.T) {
 		{"ACGT", "ACGA", 1},
 		{"AAAA", "TTTT", 4},
 		{"", "", 0},
+		// Byte equality: N matches itself and mismatches everything else.
 		{"NN", "NN", 0},
+		{"NN", "NA", 1},
+		{"AN", "NA", 2},
 	}
 	for _, c := range cases {
 		if got := h.Distance([]byte(c.a), []byte(c.b)); got != c.want {
@@ -140,4 +170,59 @@ func TestByNameRoundTrip(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown name resolved")
 	}
+}
+
+// TestProfileMatchesDistance pins the kernel contract for both metrics:
+// Profile(q).Distance(b) == Distance(q, b) for every byte value (alphabet,
+// lowercase, ambiguity codes, garbage) and for lengths on both sides of the
+// kernel's 16-position blocks, including a reused, shrinking buffer.
+func TestProfileMatchesDistance(t *testing.T) {
+	pam, err := ByName("mendel-PAM250")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	randomBytes := func(n int) []byte {
+		const common = "ARNDCQEGHILKMFPSTWYVacgtnNXBZ*"
+		out := make([]byte, n)
+		for i := range out {
+			if rng.Intn(8) == 0 {
+				out[i] = byte(rng.Intn(256))
+			} else {
+				out[i] = common[rng.Intn(len(common))]
+			}
+		}
+		return out
+	}
+	for _, m := range []Metric{Hamming{}, ForKind(seq.Protein), pam} {
+		var buf Profile
+		for _, n := range []int{40, 33, 32, 17, 16, 15, 8, 1, 0} {
+			q := randomBytes(n)
+			buf = m.Profile(q, buf)
+			if len(buf) != n {
+				t.Fatalf("%s: profile of %d residues has %d positions", m.Name(), n, len(buf))
+			}
+			const keys = 37
+			slab := randomBytes(keys * n)
+			got := make([]int, keys)
+			buf.Distances(got, slab)
+			for j := range got {
+				key := slab[j*n : (j+1)*n]
+				want := m.Distance(q, key)
+				if got[j] != want || buf.Distance(key) != want {
+					t.Fatalf("%s len %d key %d: Distances=%d Distance=%d, Metric.Distance=%d",
+						m.Name(), n, j, got[j], buf.Distance(key), want)
+				}
+			}
+		}
+	}
+}
+
+func TestProfileDistancesPanicsOnRaggedSlab(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	Hamming{}.Profile([]byte("ACGT"), nil).Distances(make([]int, 2), []byte("ACGTACG"))
 }

@@ -11,6 +11,7 @@ import (
 	"mendel/internal/anchorset"
 	"mendel/internal/matrix"
 	"mendel/internal/obs"
+	"mendel/internal/vptree"
 	"mendel/internal/wire"
 )
 
@@ -67,6 +68,7 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 		visits   int64
 	}
 	perWorker := make([]workerStats, workers)
+	knnVisits, knnNs := n.reg.Histogram("node_knn_visits"), n.reg.Histogram("node_knn_ns")
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -76,16 +78,19 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 			// Per-worker consecutivity scratch, reused across every
 			// candidate this worker filters.
 			matched := make([]bool, r.WindowLen)
+			// Per-worker k-NN state (query profile, result heap): a lookup
+			// then allocates only the candidates it returns.
+			var knnState vptree.Searcher
 			for i := w; i < len(r.Offsets); i += workers {
 				off := r.Offsets[i]
 				window := r.Query[off : off+r.WindowLen]
 				t0 := time.Now()
-				cands, visits := n.tree.NearestBudgetVisits(window, r.Params.Neighbors, n.searchBudget)
+				cands, visits := knnState.NearestBudgetVisits(n.tree, window, r.Params.Neighbors, n.searchBudget)
 				knn := time.Since(t0).Nanoseconds()
 				ws.knnNs += knn
 				ws.visits += int64(visits)
-				n.reg.Histogram("node_knn_visits").Observe(int64(visits))
-				n.reg.Histogram("node_knn_ns").Observe(knn)
+				knnVisits.Observe(int64(visits))
+				knnNs.Observe(knn)
 				t0 = time.Now()
 				for _, cand := range cands {
 					block, ok := n.blocks[cand.Ref]

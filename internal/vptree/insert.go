@@ -18,14 +18,14 @@ package vptree
 // which InsertBatch amortizes.
 func (t *Tree) Insert(it Item) {
 	if t.root == nil {
-		t.root = &node{bucket: []Item{it}, count: 1}
+		t.root = &node{slab: t.collectWith(nil, it), count: 1}
 		t.size = 1
 		return
 	}
 	// Route to the leaf, remembering the path.
 	path := []*node{}
 	n := t.root
-	for n.bucket == nil {
+	for n.refs == nil {
 		path = append(path, n)
 		if t.metric.Distance(n.vantage, it.Key) <= n.mu {
 			n = n.left
@@ -33,8 +33,8 @@ func (t *Tree) Insert(it Item) {
 			n = n.right
 		}
 	}
-	if len(n.bucket) < t.bucketCap { // case 1
-		n.bucket = append(n.bucket, it)
+	if len(n.refs) < t.bucketCap { // case 1
+		t.add(&n.slab, it)
 		n.count++
 		for _, p := range path {
 			p.count++
@@ -46,9 +46,7 @@ func (t *Tree) Insert(it Item) {
 	for i := len(path) - 1; i >= 0; i-- {
 		a := path[i]
 		if a.count+1 <= t.capacity(a.height) {
-			items := append(collect(a, nil), it)
-			rebuilt := t.build(items)
-			*a = *rebuilt
+			*a = *t.build(t.collectWith(a, it))
 			// Fix counts and heights on the remaining path (leaf-ward
 			// ancestors first so heights propagate upward correctly).
 			for j := i - 1; j >= 0; j-- {
@@ -61,8 +59,7 @@ func (t *Tree) Insert(it Item) {
 		}
 	}
 	// Case 4: completely full tree.
-	items := append(collect(t.root, nil), it)
-	t.root = t.build(items)
+	t.root = t.build(t.collectWith(t.root, it))
 	t.size++
 }
 
@@ -74,9 +71,7 @@ func (t *Tree) InsertBatch(items []Item) {
 		return
 	}
 	if t.root == nil || len(items)*4 >= t.size {
-		all := collect(t.root, make([]Item, 0, t.size+len(items)))
-		all = append(all, items...)
-		t.root = t.build(all)
+		t.root = t.build(t.collectWith(t.root, items...))
 		t.size += len(items)
 		return
 	}
@@ -87,7 +82,12 @@ func (t *Tree) InsertBatch(items []Item) {
 
 // Items returns a copy of every item in the tree.
 func (t *Tree) Items() []Item {
-	return collect(t.root, make([]Item, 0, t.size))
+	all := t.collectWith(t.root)
+	out := make([]Item, len(all.refs))
+	for i, ref := range all.refs {
+		out[i] = Item{Key: all.key(i, t.stride), Ref: ref}
+	}
+	return out
 }
 
 // capacity is the item capacity of a balanced subtree of the given height.
@@ -98,13 +98,34 @@ func (t *Tree) capacity(height int) int {
 	return t.bucketCap << uint(height)
 }
 
-func collect(n *node, out []Item) []Item {
+// collectWith gathers the subtree's items, left to right, followed by extra,
+// into one fresh slab: the input of a rebuild. The first key an empty tree is
+// given fixes the tree's key length.
+func (t *Tree) collectWith(n *node, extra ...Item) slab {
+	count := 0
+	if n != nil {
+		count = n.count
+	} else if t.size == 0 && len(extra) > 0 {
+		t.stride = len(extra[0].Key)
+	}
+	out := t.newSlab(count + len(extra))
+	eachLeaf(n, func(leaf slab) {
+		out.keys = append(out.keys, leaf.keys...)
+		out.refs = append(out.refs, leaf.refs...)
+	})
+	t.add(&out, extra...)
+	return out
+}
+
+// eachLeaf calls f on every leaf slab under n, left to right.
+func eachLeaf(n *node, f func(slab)) {
 	if n == nil {
-		return out
+		return
 	}
-	if n.bucket != nil {
-		return append(out, n.bucket...)
+	if n.refs != nil {
+		f(n.slab)
+		return
 	}
-	out = collect(n.left, out)
-	return collect(n.right, out)
+	eachLeaf(n.left, f)
+	eachLeaf(n.right, f)
 }

@@ -1,5 +1,14 @@
 package vptree
 
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+
+	"mendel/internal/metric"
+)
+
 // resultHeap is a max-heap on distance so the worst of the current k-best
 // sits at the top and can be evicted cheaply. The sift routines are manual
 // (rather than container/heap) because the standard interface boxes every
@@ -80,90 +89,97 @@ func (t *Tree) NearestBudget(query []byte, k, budget int) []Result {
 // evaluations the traversal performed — the per-lookup work counter the
 // observability layer records, and the quantity the budget caps.
 func (t *Tree) NearestBudgetVisits(query []byte, k, budget int) ([]Result, int) {
+	s := searchers.Get().(*Searcher)
+	defer searchers.Put(s)
+	return s.NearestBudgetVisits(t, query, k, budget)
+}
+
+// Searcher is the reusable state of a lookup: the query's distance profile,
+// the k-best heap and the traversal's counters. The zero value is ready to
+// use; a caller issuing many lookups from one goroutine keeps one, so each
+// lookup allocates only the results it returns. A Searcher must not be used
+// by two goroutines at once.
+type Searcher struct {
+	prof      metric.Profile
+	dist      []int // one leaf's distances
+	heap      resultHeap
+	k         int
+	tau       int // distance of the current k-th best; +inf until k are known
+	remaining int // distance evaluations left in the budget
+	visits    int
+}
+
+var searchers = sync.Pool{New: func() any { return new(Searcher) }}
+
+// NearestBudgetVisits is Tree.NearestBudgetVisits on the caller's Searcher.
+func (s *Searcher) NearestBudgetVisits(t *Tree, query []byte, k, budget int) ([]Result, int) {
 	if k <= 0 || t.root == nil {
 		return nil, 0
 	}
-	h := make(resultHeap, 0, k+1)
-	tau := int(^uint(0) >> 1) // +inf until k results are known
-	remaining := budget
+	if len(query) != t.stride {
+		panic(fmt.Sprintf("vptree: query length %d, index keys are %d", len(query), t.stride))
+	}
+	s.prof = t.metric.Profile(query, s.prof)
+	s.heap = s.heap[:0]
+	s.k, s.tau, s.visits = k, math.MaxInt, 0
+	s.remaining = budget
 	if budget <= 0 {
-		remaining = int(^uint(0) >> 1)
+		s.remaining = math.MaxInt
 	}
-	visits := 0
-	var visit func(n *node)
-	visit = func(n *node) {
-		if n == nil || remaining <= 0 {
-			return
-		}
-		if n.bucket != nil {
-			for _, it := range n.bucket {
-				if remaining <= 0 {
-					return
-				}
-				remaining--
-				visits++
-				d := t.metric.Distance(query, it.Key)
-				if d < tau || len(h) < k {
-					h.push(Result{Item: it, Dist: d}, k)
-					if len(h) == k {
-						tau = h[0].Dist
-					}
-				}
-			}
-			return
-		}
-		remaining--
-		visits++
-		d := t.metric.Distance(query, n.vantage)
-		if d <= n.mu {
-			// Query inside the vantage ball: left first, and the right
-			// subtree only if the tau-ball crosses the boundary
-			// (case 3 of §III-C; cases 1 and 2 are the prunes).
-			visit(n.left)
-			if d+tau > n.mu || len(h) < k {
-				visit(n.right)
-			}
-		} else {
-			visit(n.right)
-			if d-tau <= n.mu || len(h) < k {
-				visit(n.left)
-			}
-		}
-	}
-	visit(t.root)
+	s.visit(t.root)
 	// Drain the heap into ascending order.
-	out := make([]Result, len(h))
+	out := make([]Result, len(s.heap))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = h.popWorst()
+		out[i] = s.heap.popWorst()
 	}
-	return out, visits
+	return out, s.visits
 }
 
-// Range returns every item within distance r of query, in no particular
-// order.
-func (t *Tree) Range(query []byte, r int) []Result {
-	var out []Result
-	var visit func(n *node)
-	visit = func(n *node) {
-		if n == nil {
-			return
+func (s *Searcher) visit(n *node) {
+	if n == nil || s.remaining <= 0 {
+		return
+	}
+	if n.refs != nil {
+		s.scan(n.slab)
+		return
+	}
+	s.remaining--
+	s.visits++
+	d := s.prof.Distance(n.vantage)
+	if d <= n.mu {
+		// Query inside the vantage ball: left first, and the right
+		// subtree only if the tau-ball crosses the boundary
+		// (case 3 of §III-C; cases 1 and 2 are the prunes).
+		s.visit(n.left)
+		if d+s.tau > n.mu || len(s.heap) < s.k {
+			s.visit(n.right)
 		}
-		if n.bucket != nil {
-			for _, it := range n.bucket {
-				if d := t.metric.Distance(query, it.Key); d <= r {
-					out = append(out, Result{Item: it, Dist: d})
-				}
-			}
-			return
-		}
-		d := t.metric.Distance(query, n.vantage)
-		if d-r <= n.mu {
-			visit(n.left)
-		}
-		if d+r > n.mu {
-			visit(n.right)
+	} else {
+		s.visit(n.right)
+		if d-s.tau <= n.mu || len(s.heap) < s.k {
+			s.visit(n.left)
 		}
 	}
-	visit(t.root)
-	return out
+}
+
+// scan evaluates a leaf's keys in slab order until the budget runs out.
+func (s *Searcher) scan(leaf slab) {
+	n := len(leaf.refs)
+	if n > s.remaining {
+		n = s.remaining
+	}
+	s.remaining -= n
+	s.visits += n
+	s.dist = slices.Grow(s.dist[:0], n)[:n]
+	stride, tau := len(s.prof), s.tau
+	s.prof.Distances(s.dist, leaf.keys[:n*stride])
+	for i, d := range s.dist {
+		if d < tau { // tau is +inf while the heap holds fewer than k
+			s.heap.push(Result{Item: Item{Key: leaf.key(i, stride), Ref: leaf.refs[i]}, Dist: d}, s.k)
+			if len(s.heap) == s.k {
+				tau = s.heap[0].Dist
+			}
+		}
+	}
+	s.tau = tau
 }

@@ -8,6 +8,10 @@
 // for routing) and a radius mu chosen as the median distance, so elements
 // closer than mu descend left and the rest descend right. Items live only
 // in leaf buckets.
+//
+// Keys have one length per tree (fixed by the first item), so a leaf stores
+// copies of its keys back to back in one byte slab, refs in a parallel slice:
+// a bucket scan walks contiguous memory instead of one slice header per item.
 package vptree
 
 import (
@@ -27,7 +31,8 @@ type Item struct {
 	Ref uint64
 }
 
-// Result is a search hit with its distance from the query.
+// Result is a search hit with its distance from the query. Key is a view of
+// the tree's own copy of the key and must not be modified.
 type Result struct {
 	Item
 	Dist int
@@ -39,9 +44,17 @@ type Result struct {
 type Tree struct {
 	metric    metric.Metric
 	bucketCap int
+	stride    int // key length, fixed by the first item
 	root      *node
 	size      int
 	rng       *rand.Rand
+}
+
+// slab is a run of items in leaf layout: key i is keys[i*stride:(i+1)*stride]
+// and refs[i] is its reference.
+type slab struct {
+	keys []byte
+	refs []uint64
 }
 
 type node struct {
@@ -49,9 +62,33 @@ type node struct {
 	mu      int
 	left    *node
 	right   *node
-	bucket  []Item // non-nil iff leaf
-	count   int    // items in this subtree
-	height  int    // leaf = 0
+	slab        // refs non-nil iff leaf
+	count   int // items in this subtree
+	height  int // leaf = 0
+}
+
+// newSlab returns an empty slab with room for n keys of the tree's length.
+func (t *Tree) newSlab(n int) slab {
+	return slab{keys: make([]byte, 0, n*t.stride), refs: make([]uint64, 0, n)}
+}
+
+// key returns key i of a slab of stride-byte keys, capped so an append cannot
+// reach its neighbour.
+func (s slab) key(i, stride int) []byte {
+	return s.keys[i*stride : (i+1)*stride : (i+1)*stride]
+}
+
+// add copies a caller's items onto s. Key lengths are a structural invariant
+// of the index, not a runtime condition, so a mismatch panics as the metric
+// would.
+func (t *Tree) add(s *slab, items ...Item) {
+	for _, it := range items {
+		if len(it.Key) != t.stride {
+			panic(fmt.Sprintf("vptree: key length %d, index keys are %d", len(it.Key), t.stride))
+		}
+		s.keys = append(s.keys, it.Key...)
+		s.refs = append(s.refs, it.Ref)
+	}
 }
 
 // DefaultBucketCap is the leaf capacity used when the caller passes 0.
@@ -76,9 +113,7 @@ func New(m metric.Metric, bucketCap int, seed int64) *Tree {
 // expects whole-dataset construction).
 func Build(m metric.Metric, bucketCap int, seed int64, items []Item) *Tree {
 	t := New(m, bucketCap, seed)
-	owned := make([]Item, len(items))
-	copy(owned, items)
-	t.root = t.build(owned)
+	t.root = t.build(t.collectWith(nil, items...))
 	t.size = len(items)
 	return t
 }
@@ -96,17 +131,9 @@ func (t *Tree) Height() int {
 
 // Leaves returns the number of leaf buckets.
 func (t *Tree) Leaves() int {
-	var walk func(*node) int
-	walk = func(n *node) int {
-		if n == nil {
-			return 0
-		}
-		if n.bucket != nil {
-			return 1
-		}
-		return walk(n.left) + walk(n.right)
-	}
-	return walk(t.root)
+	leaves := 0
+	eachLeaf(t.root, func(slab) { leaves++ })
+	return leaves
 }
 
 // build recursively constructs a subtree. Items are consumed.
@@ -116,9 +143,9 @@ func (t *Tree) Leaves() int {
 // radius mu. The vantage RNG state of the whole construction derives from a
 // single draw on the tree's rng, and every subtree derives its children's
 // seeds deterministically, so the resulting shape is a pure function of the
-// tree seed, the operation history and the item slice — independent of how
+// tree seed, the operation history and the item order — independent of how
 // many goroutines the parallel build fans out to.
-func (t *Tree) build(items []Item) *node {
+func (t *Tree) build(items slab) *node {
 	return t.buildSeeded(items, t.rng.Int63(), newBuildLimiter())
 }
 
@@ -152,16 +179,17 @@ func (l buildLimiter) tryAcquire() bool {
 
 func (l buildLimiter) release() { <-l }
 
-func (t *Tree) buildSeeded(items []Item, seed int64, lim buildLimiter) *node {
-	if len(items) == 0 {
+func (t *Tree) buildSeeded(items slab, seed int64, lim buildLimiter) *node {
+	count := len(items.refs)
+	if count == 0 {
 		return nil
 	}
-	if len(items) <= t.bucketCap {
-		return &node{bucket: items, count: len(items)}
+	if count <= t.bucketCap {
+		return &node{slab: items, count: count}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	vantage := selectVantage(t.metric, rng, items)
-	dist := make([]int, len(items))
+	vantage := t.selectVantage(rng, items)
+	dist := make([]int, count)
 	t.distances(vantage, items, dist, lim)
 	mu := medianDistance(dist)
 	// Left takes d <= mu to guarantee the left side is non-empty and to keep
@@ -173,27 +201,27 @@ func (t *Tree) buildSeeded(items []Item, seed int64, lim buildLimiter) *node {
 			nLeft++
 		}
 	}
-	if nLeft == len(items) {
+	if nLeft == count {
 		// Degenerate: every element within mu of the vantage (e.g. all
 		// identical). An oversized leaf is the only consistent shape.
-		return &node{bucket: items, count: len(items)}
+		return &node{slab: items, count: count}
 	}
-	left := make([]Item, 0, nLeft)
-	right := make([]Item, 0, len(items)-nLeft)
-	for i, it := range items {
-		if dist[i] <= mu {
-			left = append(left, it)
-		} else {
-			right = append(right, it)
+	left, right := t.newSlab(nLeft), t.newSlab(count-nLeft)
+	for i, d := range dist {
+		side := &right
+		if d <= mu {
+			side = &left
 		}
+		side.keys = append(side.keys, items.key(i, t.stride)...)
+		side.refs = append(side.refs, items.refs[i])
 	}
 	leftSeed, rightSeed := rng.Int63(), rng.Int63()
 	n := &node{
 		vantage: append([]byte(nil), vantage...),
 		mu:      mu,
-		count:   len(items),
+		count:   count,
 	}
-	if len(left) >= parallelBuildMin && lim.tryAcquire() {
+	if nLeft >= parallelBuildMin && lim.tryAcquire() {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -215,34 +243,34 @@ func (t *Tree) buildSeeded(items []Item, seed int64, lim buildLimiter) *node {
 // sharding the scan over spare cores for large inputs: the root level of a
 // bulk build is a linear pass over the whole dataset and would otherwise
 // serialize the entire construction (Amdahl's bottleneck).
-func (t *Tree) distances(vantage []byte, items []Item, dist []int, lim buildLimiter) {
+// One vantage against many keys is a lookup's shape, so the pass borrows a
+// pooled Searcher's profile and runs the lookup's kernel.
+func (t *Tree) distances(vantage []byte, items slab, dist []int, lim buildLimiter) {
+	s := searchers.Get().(*Searcher)
+	defer searchers.Put(s)
+	s.prof = t.metric.Profile(vantage, s.prof)
+	scan := func(lo, hi int) { s.prof.Distances(dist[lo:hi], items.keys[lo*t.stride:hi*t.stride]) }
 	const chunk = 4096
-	if lim == nil || len(items) < 2*chunk {
-		for i, it := range items {
-			dist[i] = t.metric.Distance(vantage, it.Key)
-		}
+	if lim == nil || len(dist) < 2*chunk {
+		scan(0, len(dist))
 		return
 	}
 	var wg sync.WaitGroup
-	for lo := 0; lo < len(items); lo += chunk {
+	for lo := 0; lo < len(dist); lo += chunk {
 		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
+		if hi > len(dist) {
+			hi = len(dist)
 		}
-		if hi < len(items) && lim.tryAcquire() {
+		if hi < len(dist) && lim.tryAcquire() {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
 				defer lim.release()
-				for i := lo; i < hi; i++ {
-					dist[i] = t.metric.Distance(vantage, items[i].Key)
-				}
+				scan(lo, hi)
 			}(lo, hi)
 			continue
 		}
-		for i := lo; i < hi; i++ {
-			dist[i] = t.metric.Distance(vantage, items[i].Key)
-		}
+		scan(lo, hi)
 	}
 	wg.Wait()
 }
@@ -274,17 +302,18 @@ func maxInt(a, b int) int {
 // choosing the one whose distances to a probe sample have maximal spread
 // (second moment about the median), per Yianilos' heuristic. It draws only
 // from rng, so concurrent subtree builds stay deterministic.
-func selectVantage(m metric.Metric, rng *rand.Rand, items []Item) []byte {
+func (t *Tree) selectVantage(rng *rand.Rand, items slab) []byte {
 	const candidates, probes = 8, 24
-	if len(items) == 1 {
-		return items[0].Key
+	n := len(items.refs)
+	if n == 1 {
+		return items.key(0, t.stride)
 	}
-	best, bestSpread := items[0].Key, -1.0
+	best, bestSpread := items.key(0, t.stride), -1.0
 	ds := make([]int, probes)
-	for c := 0; c < candidates && c < len(items); c++ {
-		cand := items[rng.Intn(len(items))].Key
+	for c := 0; c < candidates && c < n; c++ {
+		cand := items.key(rng.Intn(n), t.stride)
 		for p := range ds {
-			ds[p] = m.Distance(cand, items[rng.Intn(len(items))].Key)
+			ds[p] = t.metric.Distance(cand, items.key(rng.Intn(n), t.stride))
 		}
 		sort.Ints(ds)
 		median := ds[len(ds)/2]
@@ -301,25 +330,33 @@ func selectVantage(m metric.Metric, rng *rand.Rand, items []Item) []byte {
 }
 
 // checkInvariants verifies structural invariants for tests: counts, heights,
-// leaf placement, and the routing property (left subtree within mu of the
-// vantage, right subtree beyond).
+// leaf placement and slab shape (count × stride key bytes, refs parallel),
+// and the routing property (left subtree within mu of the vantage, right
+// subtree beyond), measured through Metric.Distance rather than the profile
+// kernel the build used.
 func (t *Tree) checkInvariants() error {
 	var walk func(n *node) (count int, err error)
 	walk = func(n *node) (int, error) {
 		if n == nil {
 			return 0, nil
 		}
-		if n.bucket != nil {
+		if n.refs != nil {
 			if n.left != nil || n.right != nil {
 				return 0, fmt.Errorf("vptree: leaf with children")
 			}
-			if n.count != len(n.bucket) {
-				return 0, fmt.Errorf("vptree: leaf count %d != bucket %d", n.count, len(n.bucket))
+			if n.count != len(n.refs) {
+				return 0, fmt.Errorf("vptree: leaf count %d != refs %d", n.count, len(n.refs))
+			}
+			if len(n.keys) != n.count*t.stride {
+				return 0, fmt.Errorf("vptree: leaf slab %d bytes != %d keys x stride %d", len(n.keys), n.count, t.stride)
 			}
 			return n.count, nil
 		}
 		if n.left == nil || n.right == nil {
 			return 0, fmt.Errorf("vptree: internal node missing a child")
+		}
+		if n.keys != nil || len(n.vantage) != t.stride {
+			return 0, fmt.Errorf("vptree: internal node with a slab or a %d-byte vantage (stride %d)", len(n.vantage), t.stride)
 		}
 		lc, err := walk(n.left)
 		if err != nil {
@@ -340,9 +377,9 @@ func (t *Tree) checkInvariants() error {
 			if m == nil {
 				return nil
 			}
-			if m.bucket != nil {
-				for _, it := range m.bucket {
-					d := t.metric.Distance(n.vantage, it.Key)
+			if m.refs != nil {
+				for i := range m.refs {
+					d := t.metric.Distance(n.vantage, m.key(i, t.stride))
 					if left && d > n.mu {
 						return fmt.Errorf("vptree: left item at distance %d > mu %d", d, n.mu)
 					}

@@ -123,32 +123,6 @@ func TestNearestDegenerate(t *testing.T) {
 	}
 }
 
-func TestRangeMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := metric.Hamming{}
-	items := randomItems(rng, 400, 10)
-	tr := Build(m, 8, 7, items)
-	for trial := 0; trial < 30; trial++ {
-		q := randDNA(rng, 10)
-		r := rng.Intn(6)
-		got := tr.Range(q, r)
-		want := 0
-		for _, it := range items {
-			if m.Distance(q, it.Key) <= r {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: range(%d) = %d hits, want %d", trial, r, len(got), want)
-		}
-		for _, res := range got {
-			if res.Dist > r {
-				t.Fatalf("trial %d: hit at distance %d > %d", trial, res.Dist, r)
-			}
-		}
-	}
-}
-
 func TestAllIdenticalKeys(t *testing.T) {
 	// Degenerate dataset: every key identical. Build must not recurse
 	// forever; search must find them all.
