@@ -204,6 +204,47 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCLIIndexIntoRestartedEmptyNodes pins the error path of extending a
+// manifest whose nodes lost their state: the CLI must name the empty nodes
+// and the way out instead of relaying a bare "not bootstrapped".
+func TestCLIIndexIntoRestartedEmptyNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries and spawns processes")
+	}
+	dir := t.TempDir()
+	nodeBin := buildTool(t, dir, "./cmd/mendel-node")
+	cliBin := buildTool(t, dir, "./cmd/mendel")
+	genBin := buildTool(t, dir, "./cmd/mendel-datagen")
+	dbFasta := filepath.Join(dir, "db.fasta")
+	runTool(t, genBin, "-kind", "protein", "-n", "10", "-len", "300", "-out", dbFasta)
+
+	addr1, stop1 := startNode(t, nodeBin, "-addr", "127.0.0.1:0")
+	defer stop1()
+	addr2, stop2 := startNode(t, nodeBin, "-addr", "127.0.0.1:0")
+	manifest := filepath.Join(dir, "cluster.mendel")
+	index := []string{"index", "-nodes", addr1 + "," + addr2, "-groups", "2", "-kind", "protein",
+		"-fasta", dbFasta, "-manifest", manifest}
+	runTool(t, cliBin, index...)
+
+	// Node 2 comes back on its address with no -data: empty.
+	stop2()
+	_, stop2b := startNode(t, nodeBin, "-addr", addr2)
+	defer stop2b()
+
+	out, err := exec.Command(cliBin, index...).CombinedOutput()
+	if err == nil {
+		t.Fatalf("index into a half-empty cluster succeeded:\n%s", out)
+	}
+	for _, want := range []string{"not bootstrapped", "restarted empty: " + addr2, "mendel repair -manifest " + manifest, "fresh -manifest"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("index error lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(string(out), "manifest written") {
+		t.Errorf("failed index rewrote the manifest:\n%s", out)
+	}
+}
+
 // TestCLIObservability starts nodes with -metrics-addr, runs a query, and
 // asserts the HTTP observability surface and the cluster-wide stats view
 // both report the work: /metrics exposes RPC-server and search metrics,
@@ -685,7 +726,7 @@ func TestCLITelemetryDashboard(t *testing.T) {
 	// `mendel top -once` over HTTP: one frame with the cluster row, the
 	// per-node table and the SLO section.
 	out := runTool(t, cliBin, "top", "-once", "-url", base, "-window", "30s")
-	for _, want := range []string{"mendel top — ", "cluster  qps=", "NODE", "coordinator", "slo: OK", "search_p95"} {
+	for _, want := range []string{"mendel top — ", "cluster  qps=", "coalesce: ", "mean_size=", "wait_p95=", "NODE", "coordinator", "slo: OK", "search_p95"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("top -once -url output missing %q:\n%s", want, out)
 		}

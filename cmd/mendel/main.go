@@ -150,6 +150,12 @@ func cmdIndex(args []string) {
 	}
 	start := time.Now()
 	if err := cluster.Index(context.Background(), set); err != nil {
+		// The reply of a node that lost its state after the manifest was
+		// written; it crosses the wire as a string.
+		if strings.Contains(err.Error(), "not bootstrapped") {
+			log.Fatalf("mendel index: %v\n  %s describes an indexed cluster, but these nodes have restarted empty: %s\n  re-bootstrap and refill them with 'mendel repair -manifest %s', or start over with a fresh -manifest",
+				err, *manifest, strings.Join(cluster.EmptyNodes(context.Background()), ", "), *manifest)
+		}
 		log.Fatalf("mendel index: %v", err)
 	}
 	fmt.Printf("indexed %d sequences (%d residues) in %v\n",
@@ -879,8 +885,6 @@ func cmdServe(args []string) {
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant query rate limit, qps (0 disables quotas)")
 	tenantBurst := fs.Int("tenant-burst", 8, "per-tenant token bucket capacity")
 	maxHits := fs.Int("max-hits", 50, "hits returned per query")
-	coalesce := fs.Bool("coalesce", true, "batch concurrent queries' per-group fan-out RPCs")
-	coalesceTick := fs.Duration("coalesce-tick", 2*time.Millisecond, "max extra latency a query pays waiting for batch companions")
 	sample := fs.Float64("trace-sample", 0.01, "fraction of queries traced end to end")
 	prefilter := fs.String("prefilter", "bloom", "sketch group prefilter consulted before fan-out: bloom, minhash, or off (escape hatch)")
 	sampleEvery := fs.Duration("sample-interval", time.Second, "windowed telemetry sampling interval")
@@ -907,9 +911,7 @@ func cmdServe(args []string) {
 	cluster.SetObservability(reg, tracer)
 	cluster.SetTraceSampleRate(*sample)
 	rpc.Register(reg)
-	if *coalesce {
-		cluster.EnableFanOutCoalescing(mendel.CoalesceConfig{Tick: *coalesceTick})
-	}
+	cluster.EnableFanOutCoalescing()
 
 	gw := mendel.NewGateway(cluster, mendel.GatewayConfig{
 		MaxInFlight: *maxInflight,

@@ -162,15 +162,16 @@ func renderTop(w io.Writer, ch mendel.ClusterMetricsHistory, slo *mendel.SLOStat
 		m.Rate("gw_deadline_total", window),
 		m.Rate("gw_errors_total", window))
 	skipped := m.CounterSum("prefilter_groups_skipped", window)
-	searches := m.CounterSum("search_total", window)
-	skipRate := 0.0
-	if searches > 0 {
-		skipRate = float64(skipped) / float64(searches)
-	}
 	fmt.Fprintf(w, "         hints_pending=%d  repair_moved=%.1f/s  prefilter_skips=%d (%.2f/query)\n",
 		m.GaugeLast("hints_pending"),
 		m.Rate("repair_blocks_moved", window),
-		skipped, skipRate)
+		skipped, topRatio(skipped, m.CounterSum("search_total", window)))
+	// What batching the fan-out buys (group subqueries per RPC) and what it
+	// costs (how long a subquery was held for companions).
+	fmt.Fprintf(w, "         coalesce: %.1f batches/s  mean_size=%.2f  wait_p95=%v\n",
+		m.Rate("coalesce_batches", window),
+		topRatio(m.CounterSum("coalesce_batched_queries", window), m.CounterSum("coalesce_batches", window)),
+		topDur(m.Quantile("coalesce_wait_ns", 0.95, window)))
 
 	if len(ch.Nodes) > 0 {
 		fmt.Fprintln(w)
@@ -211,6 +212,14 @@ func renderTop(w io.Writer, ch mendel.ClusterMetricsHistory, slo *mendel.SLOStat
 		}
 		tw.Flush()
 	}
+}
+
+// topRatio is num/den, 0 while the window holds no den events.
+func topRatio(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 func topDur(ns int64) time.Duration {

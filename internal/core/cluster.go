@@ -54,7 +54,11 @@ type Cluster struct {
 	lengths       map[seq.ID]int
 	totalResidues int
 	nextID        seq.ID
-	rng           *rand.Rand
+
+	// rng picks group entry points. It has its own lock so that the pick
+	// every group RPC makes never stalls the readers of mu.
+	rngMu sync.Mutex
+	rng   *rand.Rand
 
 	// groupSketches and sketchComplete are the coordinator's prefilter
 	// view: the per-group merges of the node k-mer sketches pulled by
@@ -406,6 +410,14 @@ func seqKey(id seq.ID) []byte {
 
 // newClusterRNG builds the deterministic entry-point selector.
 func newClusterRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// pickEntry draws the index of the group member a fan-out RPC tries first:
+// the symmetric architecture makes any of the n members a valid entry point.
+func (c *Cluster) pickEntry(n int) int {
+	c.rngMu.Lock()
+	defer c.rngMu.Unlock()
+	return c.rng.Intn(n)
+}
 
 // queryEps returns the configured or derived multi-group branching radius.
 func (c *Cluster) queryEps() int {

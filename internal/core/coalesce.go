@@ -12,44 +12,34 @@ import (
 	"mendel/internal/wire"
 )
 
-// CoalesceConfig tunes cross-query fan-out coalescing. Zero values select
-// the defaults (2ms tick, 32 queries per batch).
-type CoalesceConfig struct {
-	// Tick is how long the first query queued for a group waits for
-	// companions before the batch is flushed. It bounds the latency a query
-	// can pay for coalescing.
-	Tick time.Duration
-	// MaxBatch flushes a group's queue immediately once this many queries
-	// are waiting, so a hot group never builds a batch larger than one
-	// entry point comfortably serves.
-	MaxBatch int
-}
-
-func (cc CoalesceConfig) withDefaults() CoalesceConfig {
-	if cc.Tick <= 0 {
-		cc.Tick = 2 * time.Millisecond
-	}
-	if cc.MaxBatch <= 0 {
-		cc.MaxBatch = 32
-	}
-	return cc
-}
+const (
+	// coalesceHold bounds how long a subquery that found its group busy
+	// waits for companions: the most latency coalescing can cost a query.
+	coalesceHold = 2 * time.Millisecond
+	// coalesceMaxBatch dispatches a group's queue as soon as this many
+	// subqueries are held, so a hot group never builds a batch larger than
+	// one entry point comfortably serves.
+	coalesceMaxBatch = 32
+)
 
 // EnableFanOutCoalescing routes concurrent queries' per-group subqueries
-// through a shared batcher: all GroupSearch calls targeting the same group
-// within one tick travel as a single wire.GroupSearchBatch RPC, amortizing
-// transport round-trips when many queries are in flight (the gateway's
-// serving mode). Queries keep their individual results and trace contexts;
-// a batch of one behaves exactly like the direct path. Coalescing composes
-// with the sketch prefilter: searchStrand prunes groupOffsets before the
-// fan-out reaches the batcher, so a skipped group contributes nothing to any
-// batch. Like SetObservability, call before serving queries.
-func (c *Cluster) EnableFanOutCoalescing(cfg CoalesceConfig) {
-	c.batcher = newFanoutBatcher(c, cfg)
+// through a shared batcher that sends wire.GroupSearchBatch RPCs. The
+// policy adapts to load by itself: a subquery whose group has nothing in
+// flight leaves immediately as a batch of one (exactly the direct path's
+// work, no waiting); one that arrives while the group is busy is held — for
+// at most coalesceHold, or until coalesceMaxBatch are held — and travels
+// with every companion that arrives meanwhile, amortizing round trips when
+// many queries are in flight (the gateway's serving mode). Queries keep
+// their individual results and trace contexts. Coalescing composes with the
+// sketch prefilter: searchStrand prunes groupOffsets before the fan-out
+// reaches the batcher, so a skipped group contributes nothing to any batch.
+// Like SetObservability, call before serving queries.
+func (c *Cluster) EnableFanOutCoalescing() {
+	c.batcher = newFanoutBatcher(c)
 }
 
 // DisableFanOutCoalescing tears the batcher down, failing any queries still
-// waiting in a batch queue. Only for tests and orderly shutdown; like
+// held in a group queue. Only for tests and orderly shutdown; like
 // EnableFanOutCoalescing it must not race in-flight searches.
 func (c *Cluster) DisableFanOutCoalescing() {
 	if c.batcher != nil {
@@ -69,82 +59,108 @@ type batchOutcome struct {
 
 // batchWaiter is one query's pending subquery in a group queue.
 type batchWaiter struct {
-	item wire.GroupSearch
-	tc   obs.TraceContext
-	done chan batchOutcome // buffered(1): send never blocks, waiter may abandon
+	ctx    context.Context // the query's; a waiter whose ctx is done is not shipped
+	item   wire.GroupSearch
+	tc     obs.TraceContext
+	queued time.Time         // when it was held; zero if dispatched on arrival
+	wait   time.Duration     // queued → dispatch, written before done is signalled
+	done   chan batchOutcome // buffered(1): send never blocks, waiter may abandon
 }
 
 // fanoutBatcher coalesces concurrent queries' GroupSearch calls into
-// per-group batch RPCs. The first query to queue for a group arms that
-// group's tick timer; the batch flushes at the tick or as soon as MaxBatch
-// queries are waiting, whichever comes first.
+// per-group batch RPCs under the policy EnableFanOutCoalescing describes.
 type fanoutBatcher struct {
 	c      *Cluster
-	cfg    CoalesceConfig
+	hold   time.Duration   // coalesceHold; tests stretch it to take the clock out of play
 	ctx    context.Context // bounds batch RPCs to the batcher's lifetime
 	cancel context.CancelFunc
 
-	mu      sync.Mutex
-	closed  bool
-	pending map[int][]*batchWaiter
-	timer   map[int]*time.Timer
+	mu       sync.Mutex
+	closed   bool
+	inflight map[int]int // batch RPCs outstanding per group
+	pending  map[int][]*batchWaiter
+	timer    map[int]*time.Timer // armed while pending[g] is non-empty
 }
 
-func newFanoutBatcher(c *Cluster, cfg CoalesceConfig) *fanoutBatcher {
+func newFanoutBatcher(c *Cluster) *fanoutBatcher {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &fanoutBatcher{
-		c:       c,
-		cfg:     cfg.withDefaults(),
-		ctx:     ctx,
-		cancel:  cancel,
-		pending: make(map[int][]*batchWaiter),
-		timer:   make(map[int]*time.Timer),
+		c:        c,
+		hold:     coalesceHold,
+		ctx:      ctx,
+		cancel:   cancel,
+		inflight: make(map[int]int),
+		pending:  make(map[int][]*batchWaiter),
+		timer:    make(map[int]*time.Timer),
 	}
 }
 
-// do queues one group subquery, waits for its batch to complete, and
-// returns this query's share of the reply. Cancelling ctx abandons the wait
-// (the batch itself keeps running for its other members).
-func (b *fanoutBatcher) do(ctx context.Context, msg wire.GroupSearch, tc obs.TraceContext) (wire.GroupSearchResult, error) {
-	w := &batchWaiter{item: msg, tc: tc, done: make(chan batchOutcome, 1)}
+// do submits one group subquery, waits for its batch to complete, and
+// returns this query's share of the reply plus the time it was held for
+// companions. Cancelling ctx abandons the wait (the batch itself keeps
+// running for its other members).
+func (b *fanoutBatcher) do(ctx context.Context, msg wire.GroupSearch, tc obs.TraceContext) (wire.GroupSearchResult, time.Duration, error) {
+	w := &batchWaiter{ctx: ctx, item: msg, tc: tc, done: make(chan batchOutcome, 1)}
 	g := msg.Group
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return wire.GroupSearchResult{}, errCoalescerClosed
+		return wire.GroupSearchResult{}, 0, errCoalescerClosed
 	}
-	b.pending[g] = append(b.pending[g], w)
 	var ready []*batchWaiter
-	switch {
-	case len(b.pending[g]) >= b.cfg.MaxBatch:
-		ready = b.takeLocked(g)
-	case len(b.pending[g]) == 1:
-		b.timer[g] = time.AfterFunc(b.cfg.Tick, func() { b.flush(g) })
+	if b.inflight[g] == 0 && len(b.pending[g]) == 0 {
+		// Idle group: no companion to wait for, and none worth waiting for.
+		ready = []*batchWaiter{w}
+		b.inflight[g]++
+	} else {
+		w.queued = time.Now()
+		b.pending[g] = append(b.pending[g], w)
+		switch len(b.pending[g]) {
+		case coalesceMaxBatch:
+			ready = b.takeLocked(g)
+		case 1:
+			b.timer[g] = time.AfterFunc(b.hold, func() { b.flush(g) })
+		}
 	}
 	b.mu.Unlock()
-	if ready != nil {
+	if len(ready) > 0 {
 		go b.send(g, ready)
 	}
 	select {
 	case out := <-w.done:
-		return out.res, out.err
+		return out.res, w.wait, out.err
 	case <-ctx.Done():
-		return wire.GroupSearchResult{}, ctx.Err()
+		return wire.GroupSearchResult{}, 0, ctx.Err()
 	}
 }
 
-// takeLocked empties group g's queue and disarms its timer. Caller holds b.mu.
+// takeLocked empties group g's queue, disarms its timer and returns the
+// held waiters still worth shipping as one batch, counted in flight. A
+// waiter whose query is already over (deadline, client gone) is dropped
+// here: its do has returned ctx.Err() and no node should search for it.
+// Caller holds b.mu.
 func (b *fanoutBatcher) takeLocked(g int) []*batchWaiter {
-	ws := b.pending[g]
+	held := b.pending[g]
 	delete(b.pending, g)
 	if t := b.timer[g]; t != nil {
 		t.Stop()
 		delete(b.timer, g)
 	}
+	now := time.Now()
+	ws := held[:0]
+	for _, w := range held {
+		if w.ctx.Err() == nil {
+			w.wait = now.Sub(w.queued)
+			ws = append(ws, w)
+		}
+	}
+	if len(ws) > 0 {
+		b.inflight[g]++
+	}
 	return ws
 }
 
-// flush is the tick-timer callback: sends whatever is queued for group g.
+// flush is the hold-timer callback: sends whatever is held for group g.
 func (b *fanoutBatcher) flush(g int) {
 	b.mu.Lock()
 	ws := b.takeLocked(g)
@@ -160,20 +176,24 @@ func (b *fanoutBatcher) flush(g int) {
 // down, malformed reply) fails every query in the batch; a per-item error
 // string fails only that query.
 func (b *fanoutBatcher) send(g int, ws []*batchWaiter) {
+	defer func() {
+		b.mu.Lock()
+		b.inflight[g]--
+		b.mu.Unlock()
+	}()
 	req := wire.GroupSearchBatch{
 		Group: g,
 		Items: make([]wire.GroupSearch, len(ws)),
 		TCs:   make([]obs.TraceContext, len(ws)),
 	}
+	waitNs := b.c.reg.Histogram("coalesce_wait_ns")
 	for i, w := range ws {
 		req.Items[i] = w.item
 		req.TCs[i] = w.tc
+		waitNs.Observe(w.wait.Nanoseconds())
 	}
-	if reg := b.c.reg; reg != nil {
-		reg.Counter("coalesce_batches").Inc()
-		reg.Counter("coalesce_batched_queries").Add(int64(len(ws)))
-		reg.Histogram("coalesce_batch_size").Observe(int64(len(ws)))
-	}
+	b.c.reg.Counter("coalesce_batches").Inc()
+	b.c.reg.Counter("coalesce_batched_queries").Add(int64(len(ws)))
 	fail := func(err error) {
 		for _, w := range ws {
 			w.done <- batchOutcome{err: err}
@@ -184,9 +204,7 @@ func (b *fanoutBatcher) send(g int, ws []*batchWaiter) {
 		fail(fmt.Errorf("core: group %d has no members", g))
 		return
 	}
-	b.c.mu.Lock()
-	start := b.c.rng.Intn(len(members))
-	b.c.mu.Unlock()
+	start := b.c.pickEntry(len(members))
 	var lastErr error
 	for i := 0; i < len(members); i++ {
 		entry := members[(start+i)%len(members)]
@@ -220,7 +238,7 @@ func (b *fanoutBatcher) send(g int, ws []*batchWaiter) {
 	fail(lastErr)
 }
 
-// close fails every queued query and stops accepting new ones.
+// close fails every held query and stops accepting new ones.
 func (b *fanoutBatcher) close() {
 	b.mu.Lock()
 	b.closed = true

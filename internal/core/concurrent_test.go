@@ -122,7 +122,7 @@ func TestConcurrentSearchMatchesSerialTwin(t *testing.T) {
 
 func TestConcurrentSearchWithCoalescingMatchesSerialTwin(t *testing.T) {
 	live, twin, liveDB, _ := twinClusters(t, 6, 2, 43)
-	live.EnableFanOutCoalescing(CoalesceConfig{})
+	live.EnableFanOutCoalescing()
 	defer live.DisableFanOutCoalescing()
 	queries := testQueries(liveDB, 6)
 	p := defaultTestParams()
@@ -144,7 +144,7 @@ func TestConcurrentSearchWithCoalescingMatchesSerialTwin(t *testing.T) {
 // both sets with no concurrency at all.
 func TestConcurrentSearchDuringIngest(t *testing.T) {
 	live, twin, liveDB, _ := twinClusters(t, 6, 2, 44)
-	live.EnableFanOutCoalescing(CoalesceConfig{})
+	live.EnableFanOutCoalescing()
 	defer live.DisableFanOutCoalescing()
 	queries := testQueries(liveDB, 4)
 	p := defaultTestParams()
@@ -221,7 +221,7 @@ func TestConcurrentSearchUnderChaos(t *testing.T) {
 	}
 	live, liveDB := mk()
 	twin, _ := mk()
-	live.EnableFanOutCoalescing(CoalesceConfig{})
+	live.EnableFanOutCoalescing()
 	defer live.DisableFanOutCoalescing()
 
 	// Pick one victim per group whose loss keeps every sequence reachable.

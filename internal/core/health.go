@@ -325,6 +325,22 @@ func (c *Cluster) indexed() bool {
 	return c.hashTree != nil
 }
 
+// EmptyNodes pings every node and returns those that answer but hold no
+// cluster state: processes restarted since the manifest was written. Unlike
+// a health-monitor probe it recovers nothing; it exists to name the culprits
+// when a write dies with a node's "not bootstrapped" reply.
+func (c *Cluster) EmptyNodes(ctx context.Context) []string {
+	nodes := c.topology().AllNodes()
+	resps, _ := transport.BroadcastAll(ctx, c.caller, nodes, wire.Ping{})
+	var empty []string
+	for i, r := range resps {
+		if pong, ok := r.(wire.Pong); ok && !pong.Booted {
+			empty = append(empty, nodes[i])
+		}
+	}
+	return empty
+}
+
 // recoverNode runs the recovery sequence for a node that answered a probe
 // after being down, restarting, or accumulating hints:
 //

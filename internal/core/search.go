@@ -60,6 +60,7 @@ type Trace struct {
 	Decompose        time.Duration // stage 1
 	Prefilter        time.Duration // stage 1b: sketch consultation (0 when off)
 	FanOut           time.Duration // stage 2 (includes group-side work)
+	CoalesceWait     time.Duration // of FanOut: longest hold for batch companions over the groups
 	KNN              time.Duration // stage 2a: node-side vp-tree lookups (CPU-summed)
 	Ungapped         time.Duration // stage 2b: node-side filter + ungapped extension
 	Aggregate        time.Duration // stage 3: group + system entry point merges
@@ -69,10 +70,10 @@ type Trace struct {
 
 // String renders a compact single-line summary.
 func (t *Trace) String() string {
-	s := fmt.Sprintf("query=%daa windows=%d groups=%d skipped=%d anchors=%d merged=%d gapped=%d hits=%d total=%v (fanout=%v knn=%v ungapped=%v aggregate=%v extend=%v visits=%d)",
+	s := fmt.Sprintf("query=%daa windows=%d groups=%d skipped=%d anchors=%d merged=%d gapped=%d hits=%d total=%v (fanout=%v coalesce_wait=%v knn=%v ungapped=%v aggregate=%v extend=%v visits=%d)",
 		t.QueryLen, t.SubQueries, t.GroupRequests, t.GroupsSkipped, t.AnchorsReturned,
 		t.AnchorsMerged, t.GappedCandidates, t.Hits, t.Total,
-		t.FanOut, t.KNN, t.Ungapped, t.Aggregate, t.Extend, t.TreeVisits)
+		t.FanOut, t.CoalesceWait, t.KNN, t.Ungapped, t.Aggregate, t.Extend, t.TreeVisits)
 	if t.Partial {
 		s += fmt.Sprintf(" PARTIAL(groups-failed=%d regions-failed=%d)", t.GroupsFailed, t.RegionsFailed)
 	}
@@ -276,6 +277,7 @@ func (c *Cluster) searchStrand(ctx context.Context, q []byte, p wire.Params, m *
 		c.noteFailedGroups(failedGroups)
 	}
 	trace.FanOut += time.Since(start)
+	trace.CoalesceWait += gt.coalesceWait
 	trace.AnchorsReturned += len(anchors)
 	trace.KNN += time.Duration(gt.knnNs)
 	trace.Ungapped += time.Duration(gt.extendNs)
@@ -356,12 +358,16 @@ func reverseComplement(q []byte) []byte {
 // groupTiming sums the node-side work breakdowns the group entry points
 // ship back in GroupSearchResult: nanoseconds of vp-tree k-NN time, of
 // filter + ungapped extension time, distance evaluations performed, and the
-// group-level merge time. All are CPU-summed across nodes, not wall-clock.
+// group-level merge time. All are CPU-summed across nodes, not wall-clock —
+// except coalesceWait, the coordinator-side time a group subquery was held
+// by the batcher, of which a query keeps the longest (its groups wait in
+// parallel).
 type groupTiming struct {
-	knnNs    int64
-	extendNs int64
-	visits   int64
-	mergeNs  int64
+	knnNs        int64
+	extendNs     int64
+	visits       int64
+	mergeNs      int64
+	coalesceWait time.Duration
 }
 
 // fanOut sends each group's subqueries to a group entry point, retrying
@@ -409,9 +415,11 @@ func (c *Cluster) fanOut(ctx context.Context, q []byte, groupOffsets map[int][]i
 				spG.SetAttr("bytes_out", wireSize(msg))
 			}
 			var gsr wire.GroupSearchResult
+			var wait time.Duration
 			var callErr error
 			if b := c.batcher; b != nil {
-				gsr, callErr = b.do(callCtx, msg, spG.Context())
+				gsr, wait, callErr = b.do(callCtx, msg, spG.Context())
+				spG.SetAttr("coalesce_wait_ns", wait.Nanoseconds())
 			} else {
 				gsr, callErr = c.callGroupEntry(callCtx, topo.GroupNodes(g), msg, spG)
 			}
@@ -430,10 +438,11 @@ func (c *Cluster) fanOut(ctx context.Context, q []byte, groupOffsets map[int][]i
 			}
 			spG.End()
 			ch <- result{group: g, anchors: gsr.Anchors, timing: groupTiming{
-				knnNs:    gsr.KNNNs,
-				extendNs: gsr.ExtendNs,
-				visits:   gsr.Visits,
-				mergeNs:  gsr.MergeNs,
+				knnNs:        gsr.KNNNs,
+				extendNs:     gsr.ExtendNs,
+				visits:       gsr.Visits,
+				mergeNs:      gsr.MergeNs,
+				coalesceWait: wait,
 			}}
 		}(g, offsets)
 	}
@@ -452,6 +461,7 @@ func (c *Cluster) fanOut(ctx context.Context, q []byte, groupOffsets map[int][]i
 		gt.extendNs += r.timing.extendNs
 		gt.visits += r.timing.visits
 		gt.mergeNs += r.timing.mergeNs
+		gt.coalesceWait = max(gt.coalesceWait, r.timing.coalesceWait)
 	}
 	if firstErr != nil {
 		if !c.cfg.AllowPartial || len(failedGroups) == len(groupOffsets) {
@@ -466,9 +476,7 @@ func (c *Cluster) fanOut(ctx context.Context, q []byte, groupOffsets map[int][]i
 // coordinator — and retry with the next member while the chosen one is
 // unreachable.
 func (c *Cluster) callGroupEntry(ctx context.Context, members []string, msg wire.GroupSearch, spG *obs.Span) (wire.GroupSearchResult, error) {
-	c.mu.Lock()
-	start := c.rng.Intn(len(members))
-	c.mu.Unlock()
+	start := c.pickEntry(len(members))
 	var lastErr error
 	for i := 0; i < len(members); i++ {
 		entry := members[(start+i)%len(members)]

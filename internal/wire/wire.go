@@ -262,9 +262,9 @@ type GroupSearchResult struct {
 
 // GroupSearchBatch carries several queries' GroupSearch requests for the
 // same group in one RPC — the cross-query coalescing a concurrent serving
-// layer uses to amortize transport cost: many in-flight searches that
-// target the same group within one coalescing tick share a single round
-// trip and a single gob envelope instead of one each.
+// layer uses to amortize transport cost: in-flight searches held for the
+// same busy group share a single round trip and a single envelope instead
+// of one each.
 //
 // TCs, when present, carries one TraceContext per item so each query keeps
 // its own distributed trace identity even though the batch travels under a

@@ -223,8 +223,6 @@ type (
 	Gateway = gateway.Gateway
 	// GatewayConfig tunes admission control, quotas, and deadlines.
 	GatewayConfig = gateway.Config
-	// CoalesceConfig tunes cross-query fan-out batching.
-	CoalesceConfig = core.CoalesceConfig
 	// Route is an application route mounted onto the observability mux.
 	Route = obs.Route
 )

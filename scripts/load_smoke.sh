@@ -70,6 +70,9 @@ mkdir -p "$artifacts"
 # the watchdog, and the sketch tier would let the gateway skip every group
 # for random burst queries — the one-slot window never saturates and
 # nothing sheds. Phase 1 already covers prefiltered serving under load.
+# The rate has to overrun that one slot: a query on an otherwise idle
+# gateway takes about 1 ms (its fan-out is dispatched without waiting), so
+# the slot drains ~800/s and the burst seconds (4x the rate) offer 1600/s.
 "$workdir/mendel" serve -manifest "$workdir/cluster.mendel" -addr 127.0.0.1:7462 \
   -prefilter off -max-inflight 1 -max-queue 2 \
   -sample-interval 250ms -slo-shed-rate 0.05 -slo-fast 2s -slo-slow 6s \
@@ -82,7 +85,7 @@ slo_level() {
 }
 
 "$workdir/mendel-bench" load -url http://127.0.0.1:7462 \
-  -rate 80 -duration 5s -mix burst -qlen 64 -seed 2 \
+  -rate 400 -duration 5s -mix burst -qlen 64 -seed 2 \
   -json "$workdir/overload.json" -fail-on-errors &
 loadpid=$!
 
