@@ -10,7 +10,9 @@
 package metric
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -78,6 +80,67 @@ func (p Profile) Distances(dst []int, keys []byte) {
 		}
 		dst[j] = d
 	}
+}
+
+// MatchCounts sets dst[j] to the number of positions at which the j-th key of
+// keys holds the same byte as q, and returns the largest of them; keys holds
+// len(dst) keys of q's length back to back. It is the identity screen of a
+// k-NN leaf scan: the search parameter i keeps only candidates with a minimum
+// count, few keys reach it, and a count costs an 8-byte XOR and a popcount per
+// eight positions where Distances pays a table load per position — wide loads
+// win here, though they lost for the distance sum, because nothing has to be
+// extracted per byte.
+func MatchCounts(dst []int, q, keys []byte) (most int) {
+	n := len(q)
+	if len(keys) != len(dst)*n {
+		panic(fmt.Sprintf("metric: %d key bytes for %d keys of length %d", len(keys), len(dst), n))
+	}
+	if n == 16 { // Mendel's block length: the query stays in two registers
+		q0, q1 := binary.LittleEndian.Uint64(q), binary.LittleEndian.Uint64(q[8:])
+		for j := range dst {
+			key := (*[16]byte)(keys)
+			z0 := zeroBytes(binary.LittleEndian.Uint64(key[:8]) ^ q0)
+			z1 := zeroBytes(binary.LittleEndian.Uint64(key[8:]) ^ q1)
+			c := bits.OnesCount64(z0 | z1>>1)
+			dst[j] = c
+			most = max(most, c)
+			keys = keys[16:]
+		}
+		return most
+	}
+	for j := range dst {
+		c := MatchCount(q, keys[j*n:(j+1)*n])
+		dst[j] = c
+		most = max(most, c)
+	}
+	return most
+}
+
+// MatchCount returns the number of positions at which q and key, which must
+// have q's length, hold the same byte.
+func MatchCount(q, key []byte) int {
+	checkLen(q, key)
+	c := 0
+	for len(q) >= 8 {
+		c += bits.OnesCount64(zeroBytes(binary.LittleEndian.Uint64(q) ^ binary.LittleEndian.Uint64(key)))
+		q, key = q[8:], key[8:]
+	}
+	for i := range q {
+		if q[i] == key[i] {
+			c++
+		}
+	}
+	return c
+}
+
+// zeroBytes returns a word whose bit 8k+7 is set exactly when byte k of x is
+// zero, every other bit clear. Adding 0x7f to the low seven bits of a byte
+// carries into its top bit iff they are non-zero, and never out of the byte,
+// so unlike the shorter (x-0x01..)&^x&0x80.. test — which marks a 0x01 byte
+// above a zero one — the result is exact per byte.
+func zeroBytes(x uint64) uint64 {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	return ^(((x & low7) + low7) | x | low7)
 }
 
 // Hamming is the DNA distance: the number of positions at which two

@@ -226,3 +226,118 @@ func TestProfileDistancesPanicsOnRaggedSlab(t *testing.T) {
 	}()
 	Hamming{}.Profile([]byte("ACGT"), nil).Distances(make([]int, 2), []byte("ACGTACG"))
 }
+
+// matchLoop is the byte loop MatchCount and MatchCounts must agree with.
+func matchLoop(q, key []byte) int {
+	c := 0
+	for i := range q {
+		if q[i] == key[i] {
+			c++
+		}
+	}
+	return c
+}
+
+// TestMatchCountEveryBytePair puts every (a, b) byte pair at every position
+// of keys of 8, 11, 16 and 24 bytes (one word, word + tail, the two-word fast
+// path, three words). The other positions differ by 0x00, 0x01, 0x80, 0xff
+// and 0x7f in turn, so every pair is counted next to a matching byte, next to
+// a byte whose XOR is 0x01 (which the shorter (x-0x01..)&^x&0x80.. zero-byte
+// test miscounts above a zero byte) and next to bytes with the top bit set.
+func TestMatchCountEveryBytePair(t *testing.T) {
+	diffs := []byte{0x00, 0x01, 0x80, 0xff, 0x7f}
+	for _, n := range []int{8, 11, 16, 24} {
+		q, key, counts := make([]byte, n), make([]byte, 3*n), make([]int, 3)
+		for p := 0; p < n; p++ {
+			for a := 0; a < 256; a++ {
+				for i := range q {
+					q[i] = byte(37*i + a)
+					key[n+i] = q[i] ^ diffs[(i+p)%len(diffs)]
+				}
+				q[p] = byte(a)
+				for b := 0; b < 256; b++ {
+					key[n+p] = byte(b)
+					mid := key[n : 2*n]
+					want := matchLoop(q, mid)
+					if got := MatchCount(q, mid); got != want {
+						t.Fatalf("len %d pos %d a=%#02x b=%#02x: MatchCount = %d, byte loop %d", n, p, a, b, got, want)
+					}
+					// The same key between two others: counts land in the right slots.
+					copy(key[:n], q)
+					copy(key[2*n:], mid)
+					key[2*n+(p+1)%n] ^= 0x01
+					most := MatchCounts(counts, q, key)
+					last := matchLoop(q, key[2*n:])
+					if counts[0] != n || counts[1] != want || counts[2] != last || most != n {
+						t.Fatalf("len %d pos %d a=%#02x b=%#02x: MatchCounts = %v (most %d), want [%d %d %d] (most %d)",
+							n, p, a, b, counts, most, n, want, last, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatchCountsMost: the returned maximum is the largest count written, 0
+// for no keys.
+func TestMatchCountsMost(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{5, 16, 19} {
+		q := randomProteinSegment(rng, n)
+		for keys := 0; keys < 40; keys++ {
+			slab := make([]byte, 0, keys*n)
+			for j := 0; j < keys; j++ {
+				slab = append(slab, randomProteinSegment(rng, n)...)
+			}
+			counts, want := make([]int, keys), 0
+			most := MatchCounts(counts, q, slab)
+			for j, c := range counts {
+				if c != matchLoop(q, slab[j*n:(j+1)*n]) {
+					t.Fatalf("len %d key %d of %d: count %d, byte loop %d", n, j, keys, c, matchLoop(q, slab[j*n:(j+1)*n]))
+				}
+				want = max(want, c)
+			}
+			if most != want {
+				t.Fatalf("len %d, %d keys: most = %d, largest count %d", n, keys, most, want)
+			}
+		}
+	}
+}
+
+func TestMatchCountsPanicsOnRaggedSlab(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	MatchCounts(make([]int, 2), []byte("ACGT"), []byte("ACGTACG"))
+}
+
+// FuzzMatchCount: for any query and any slab of keys of its length, both
+// kernels agree with the byte loop.
+func FuzzMatchCount(f *testing.F) {
+	f.Add([]byte("ACDEFGHIKLMNPQRS"), []byte("ACDEFGHIKLMNPQRSACDEFGHIKLMNPQRT\x00\x01\x7f\x80\xff"))
+	f.Add([]byte{0, 1, 0x7f, 0x80, 0xff, 0, 1, 0x80, 0xff, 0, 1}, []byte{1, 0, 0xff, 0, 0x7f, 0, 0, 0x80, 0x7f, 0x80, 1, 0, 1, 0x7f})
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, q, keys []byte) {
+		n := len(q)
+		if n == 0 {
+			keys = nil
+		} else {
+			keys = keys[:len(keys)/n*n]
+		}
+		counts := make([]int, len(keys)/max(n, 1))
+		most, want := MatchCounts(counts, q, keys), 0
+		for j, c := range counts {
+			key := keys[j*n : (j+1)*n]
+			loop := matchLoop(q, key)
+			if c != loop || MatchCount(q, key) != loop {
+				t.Fatalf("q=%x key=%x: MatchCounts %d, MatchCount %d, byte loop %d", q, key, c, MatchCount(q, key), loop)
+			}
+			want = max(want, loop)
+		}
+		if most != want {
+			t.Fatalf("q=%x keys=%x: most = %d, largest count %d", q, keys, most, want)
+		}
+	})
+}

@@ -23,6 +23,9 @@ const xDrop = 20
 // an n-NN lookup in the local vp-tree produces candidates; candidates are
 // filtered by percent identity and consecutivity score; survivors become
 // anchors extended in both directions within the block's stored context.
+// The identity filter runs inside the lookup (vptree.Searcher.NearestEligible):
+// the n candidates are the nearest keys that pass it, and keys that cannot
+// are dismissed by a match count instead of a full distance.
 func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error) {
 	start := time.Now()
 	defer func() { n.busyNS.Add(time.Since(start).Nanoseconds()) }()
@@ -61,6 +64,7 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 	// The node's read lock is held for the whole request, so workers may
 	// touch the tree and block store freely.
 	workers := localSearchWorkers(len(r.Offsets))
+	minMatch := minMatches(r.Params.Identity, r.WindowLen)
 	type workerStats struct {
 		anchors  []wire.Anchor
 		knnNs    int64
@@ -85,7 +89,7 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 				off := r.Offsets[i]
 				window := r.Query[off : off+r.WindowLen]
 				t0 := time.Now()
-				cands, visits := knnState.NearestBudgetVisits(n.tree, window, r.Params.Neighbors, n.searchBudget)
+				cands, visits := knnState.NearestEligible(n.tree, window, r.Params.Neighbors, n.searchBudget, minMatch)
 				knn := time.Since(t0).Nanoseconds()
 				ws.knnNs += knn
 				ws.visits += int64(visits)
@@ -93,15 +97,14 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 				knnNs.Observe(knn)
 				t0 = time.Now()
 				for _, cand := range cands {
+					// cand.Key is the tree's copy of the block's content: the
+					// block store is read only for candidates that become anchors.
+					if cScoreInto(window, cand.Key, m, matched) < r.Params.CScore {
+						continue
+					}
 					block, ok := n.blocks[cand.Ref]
 					if !ok {
 						continue // cannot happen; defensive against store drift
-					}
-					if identity(window, block.Content) < r.Params.Identity {
-						continue
-					}
-					if cScoreInto(window, block.Content, m, matched) < r.Params.CScore {
-						continue
 					}
 					ws.anchors = append(ws.anchors, extendAnchor(r.Query, off, r.WindowLen, block, m))
 				}
@@ -135,20 +138,16 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 	return res, nil
 }
 
-// identity is the fraction of positions at which the window matches the
-// candidate exactly — the complement of the paper's normalized Hamming
-// formula, oriented so that larger is better.
-func identity(window, candidate []byte) float64 {
-	if len(window) == 0 {
-		return 0
+// minMatches turns the percent-identity threshold into the count the k-NN
+// screen takes: the smallest number of exactly matching positions m of a
+// w-residue window for which float64(m)/float64(w) >= identity, w+1 (no key
+// is eligible) when even a full match falls short.
+func minMatches(identity float64, w int) int {
+	m := 0
+	for m <= w && float64(m)/float64(w) < identity {
+		m++
 	}
-	matches := 0
-	for i := range window {
-		if window[i] == candidate[i] {
-			matches++
-		}
-	}
-	return float64(matches) / float64(len(candidate))
+	return m
 }
 
 // localSearchWorkers sizes the subquery worker pool: half the cores (the

@@ -1,30 +1,41 @@
 package node
 
 import (
+	"context"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"mendel/internal/anchorset"
 	"mendel/internal/matrix"
+	"mendel/internal/metric"
 	"mendel/internal/seq"
 	"mendel/internal/wire"
 )
 
-func TestIdentity(t *testing.T) {
-	cases := []struct {
-		w, c string
-		want float64
-	}{
-		{"ACGT", "ACGT", 1.0},
-		{"ACGT", "ACGA", 0.75},
-		{"AAAA", "TTTT", 0.0},
-	}
-	for _, c := range cases {
-		if got := identity([]byte(c.w), []byte(c.c)); got != c.want {
-			t.Errorf("identity(%q,%q) = %f, want %f", c.w, c.c, got, c.want)
+// TestMinMatchesIsTheIdentityFilter: for every window length, threshold and
+// match count, "matches >= minMatches" decides exactly as the filter the
+// lookup's screen replaced, float64(matches)/float64(w) >= identity.
+func TestMinMatchesIsTheIdentityFilter(t *testing.T) {
+	thresholds := []float64{0, 1e-9, 0.05, 0.25, 0.3, 0.3125, 1.0 / 3, 0.5, 0.7, 0.9999, 1, 1.5}
+	for w := 1; w <= 33; w++ {
+		for m := 0; m <= w; m++ {
+			thresholds = append(thresholds, float64(m)/float64(w)) // exact boundaries
 		}
 	}
-	if identity(nil, nil) != 0 {
-		t.Error("empty identity should be 0")
+	for _, w := range []int{1, 7, 16, 19, 32, 33} {
+		for _, identity := range thresholds {
+			min := minMatches(identity, w)
+			for matches := 0; matches <= w; matches++ {
+				if want := float64(matches)/float64(w) >= identity; (matches >= min) != want {
+					t.Fatalf("w=%d identity=%v: %d matches pass=%v, minMatches=%d", w, identity, matches, want, min)
+				}
+			}
+		}
+	}
+	if got := minMatches(0.30, 16); got != 5 {
+		t.Fatalf("default identity 0.30 over a 16-residue window needs %d matches, want 5", got)
 	}
 }
 
@@ -151,6 +162,60 @@ func TestCScoreIntoScratchReuse(t *testing.T) {
 		want := cScore([]byte("AACGTA"), []byte("AATGCA"), m)
 		if got := cScoreInto([]byte("AACGTA"), []byte("AATGCA"), m, scratch); got != want {
 			t.Fatalf("trial %d: reuse = %f, fresh = %f", trial, got, want)
+		}
+	}
+}
+
+// TestLocalSearchIsFilterThenExtend: with no k-NN budget and more neighbours
+// asked for than blocks stored, a local search anchors exactly the blocks
+// whose content passes the identity and c-score filters, computed here from
+// the block store with float identities — so the lookup's match-count screen
+// decides as the filter it replaced, and scoring the tree's copy of a key is
+// scoring the block's content.
+func TestLocalSearchIsFilterThenExtend(t *testing.T) {
+	const w = 8
+	_, nodes, _ := testCluster(t, 1, w)
+	n := nodes[0]
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	var blocks []wire.Block
+	for id := seq.ID(1); id <= 6; id++ {
+		blocks = append(blocks, blocksFor(t, id, string(randDNA(rng, 90)), w)...)
+	}
+	if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: blocks}); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := matrix.ByName("DNA")
+	query := randDNA(rng, 40)
+	offsets := []int{0, 7, 16, 32}
+	copy(query, blocks[10].Content)       // a full match at offset 0
+	copy(query[16:], blocks[200].Content) // and 7 of 8 at offset 16
+	if query[19] == 'A' {
+		query[19] = 'C'
+	} else {
+		query[19] = 'A'
+	}
+	for _, identity := range []float64{0, 0.3, 0.5, 0.625, 0.9} {
+		params := wire.DefaultParams()
+		params.Matrix, params.Identity, params.CScore, params.Neighbors = "DNA", identity, 0.4, len(blocks)+1
+		resp, err := n.Handle(ctx, wire.LocalSearch{Query: query, Offsets: offsets, WindowLen: w, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []wire.Anchor
+		for _, off := range offsets {
+			window := query[off : off+w]
+			for _, b := range blocks {
+				same := w - metric.Hamming{}.Distance(window, b.Content)
+				if float64(same)/float64(w) >= identity && cScore(window, b.Content, m) >= params.CScore {
+					want = append(want, extendAnchor(query, off, w, b, m))
+				}
+			}
+		}
+		want = anchorset.Merge(want)
+		got := resp.(wire.LocalSearchResult).Anchors
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("identity %v: %d anchors, filter-then-extend over the block store gives %d\n got  %+v\n want %+v", identity, len(got), len(want), got, want)
 		}
 	}
 }

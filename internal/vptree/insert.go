@@ -16,6 +16,11 @@ package vptree
 // rebuild of the affected subtree. This keeps the tree balanced so lookups
 // stay logarithmic, at the cost the paper notes — extra preprocessing —
 // which InsertBatch amortizes.
+//
+// A leaf a bulk build left in its arena is capped at its length, so the append
+// of case 1 moves that leaf into a slab of its own (the arena keeps a hole
+// until an enclosing rebuild drops it); the rebuilds of cases 2 to 4 give the
+// subtree they rebuild a fresh arena.
 func (t *Tree) Insert(it Item) {
 	if t.root == nil {
 		t.root = &node{slab: t.collectWith(nil, it), count: 1}
@@ -99,8 +104,8 @@ func (t *Tree) capacity(height int) int {
 }
 
 // collectWith gathers the subtree's items, left to right, followed by extra,
-// into one fresh slab: the input of a rebuild. The first key an empty tree is
-// given fixes the tree's key length.
+// into one fresh slab: the input, and then the arena, of a rebuild. The first
+// key an empty tree is given fixes the tree's key length.
 func (t *Tree) collectWith(n *node, extra ...Item) slab {
 	count := 0
 	if n != nil {

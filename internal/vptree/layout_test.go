@@ -83,8 +83,10 @@ func TestLookupAllocations(t *testing.T) {
 	tr := Build(metric.ForKind(seq.Protein), 0, 7, randomProteinItems(t, rng, 5000, 16))
 	q := randomProteinItems(t, rng, 1, 16)[0].Key
 	var s Searcher
-	if got := testing.AllocsPerRun(50, func() { s.NearestBudgetVisits(tr, q, 12, 4096) }); got != 1 {
-		t.Fatalf("Searcher.NearestBudgetVisits allocates %v times per lookup, want 1", got)
+	for _, minMatch := range []int{0, 5} {
+		if got := testing.AllocsPerRun(50, func() { s.NearestEligible(tr, q, 12, 4096, minMatch) }); got != 1 {
+			t.Fatalf("Searcher.NearestEligible(minMatch %d) allocates %v times per lookup, want 1", minMatch, got)
+		}
 	}
 	best := 1e9
 	for i := 0; i < 20; i++ {
@@ -107,8 +109,9 @@ func TestSearcherReuseAcrossTrees(t *testing.T) {
 		if i%2 == 1 {
 			tr, q = dna, randDNA(rng, 9)
 		}
-		got, gotVisits := s.NearestBudgetVisits(tr, q, 5, 200)
-		want, wantVisits := new(Searcher).NearestBudgetVisits(tr, q, 5, 200)
+		minMatch := i / 2 // 0 is unscreened
+		got, gotVisits := s.NearestEligible(tr, q, 5, 200, minMatch)
+		want, wantVisits := new(Searcher).NearestEligible(tr, q, 5, 200, minMatch)
 		if gotVisits != wantVisits || len(got) != len(want) {
 			t.Fatalf("lookup %d: reused searcher %d hits/%d visits, fresh %d/%d", i, len(got), gotVisits, len(want), wantVisits)
 		}

@@ -91,7 +91,7 @@ func (t *Tree) NearestBudget(query []byte, k, budget int) []Result {
 func (t *Tree) NearestBudgetVisits(query []byte, k, budget int) ([]Result, int) {
 	s := searchers.Get().(*Searcher)
 	defer searchers.Put(s)
-	return s.NearestBudgetVisits(t, query, k, budget)
+	return s.NearestEligible(t, query, k, budget, 0)
 }
 
 // Searcher is the reusable state of a lookup: the query's distance profile,
@@ -100,8 +100,11 @@ func (t *Tree) NearestBudgetVisits(query []byte, k, budget int) ([]Result, int) 
 // lookup allocates only the results it returns. A Searcher must not be used
 // by two goroutines at once.
 type Searcher struct {
-	prof      metric.Profile
-	dist      []int // one leaf's distances
+	query     []byte         // the lookup's query; not retained past it
+	prof      metric.Profile // of query; not built when matches are the distance
+	matchDist bool           // the metric is Hamming: a distance is the key length minus the matches
+	minMatch  int
+	buf       []int // one leaf's match counts or distances
 	heap      resultHeap
 	k         int
 	tau       int // distance of the current k-th best; +inf until k are known
@@ -111,15 +114,28 @@ type Searcher struct {
 
 var searchers = sync.Pool{New: func() any { return new(Searcher) }}
 
-// NearestBudgetVisits is Tree.NearestBudgetVisits on the caller's Searcher.
-func (s *Searcher) NearestBudgetVisits(t *Tree, query []byte, k, budget int) ([]Result, int) {
+// NearestEligible is Tree.NearestBudgetVisits on the caller's Searcher,
+// restricted to eligible keys: those that hold the query's byte at minMatch or
+// more positions. A storage node drops every candidate below the search's
+// percent identity right after the lookup (§V-B), so it passes that threshold
+// as a count and gets the k nearest keys that can survive, not k keys of
+// which most cannot. The traversal is the unrestricted one — an ineligible
+// key still costs one evaluation of the budget and counts as one visit — but
+// a leaf scan screens keys by an exact match count (metric.MatchCounts) and
+// pays for a distance only on the few that reach minMatch. tau is the k-th
+// best eligible distance, so pruning never cuts a subtree that could hold a
+// closer eligible key. minMatch 0 makes every key eligible.
+func (s *Searcher) NearestEligible(t *Tree, query []byte, k, budget, minMatch int) ([]Result, int) {
 	if k <= 0 || t.root == nil {
 		return nil, 0
 	}
 	if len(query) != t.stride {
 		panic(fmt.Sprintf("vptree: query length %d, index keys are %d", len(query), t.stride))
 	}
-	s.prof = t.metric.Profile(query, s.prof)
+	s.query, s.minMatch = query, minMatch
+	if _, s.matchDist = t.metric.(metric.Hamming); !s.matchDist {
+		s.prof = t.metric.Profile(query, s.prof)
+	}
 	s.heap = s.heap[:0]
 	s.k, s.tau, s.visits = k, math.MaxInt, 0
 	s.remaining = budget
@@ -127,12 +143,21 @@ func (s *Searcher) NearestBudgetVisits(t *Tree, query []byte, k, budget int) ([]
 		s.remaining = math.MaxInt
 	}
 	s.visit(t.root)
+	s.query = nil
 	// Drain the heap into ascending order.
 	out := make([]Result, len(s.heap))
 	for i := len(out) - 1; i >= 0; i-- {
 		out[i] = s.heap.popWorst()
 	}
 	return out, s.visits
+}
+
+// distance is the metric distance from the query to key.
+func (s *Searcher) distance(key []byte) int {
+	if s.matchDist {
+		return len(key) - metric.MatchCount(s.query, key)
+	}
+	return s.prof.Distance(key)
 }
 
 func (s *Searcher) visit(n *node) {
@@ -145,7 +170,7 @@ func (s *Searcher) visit(n *node) {
 	}
 	s.remaining--
 	s.visits++
-	d := s.prof.Distance(n.vantage)
+	d := s.distance(n.vantage)
 	if d <= n.mu {
 		// Query inside the vantage ball: left first, and the right
 		// subtree only if the tau-ball crosses the boundary
@@ -163,6 +188,10 @@ func (s *Searcher) visit(n *node) {
 }
 
 // scan evaluates a leaf's keys in slab order until the budget runs out.
+// Unscreened, one pass of the distance kernel scores the whole leaf. Screened
+// (or when matches are the distance), one pass counts matches; most leaves
+// hold no eligible key and end there, in the others eligible keys get their
+// distance and the rest +inf, which no tau admits.
 func (s *Searcher) scan(leaf slab) {
 	n := len(leaf.refs)
 	if n > s.remaining {
@@ -170,10 +199,26 @@ func (s *Searcher) scan(leaf slab) {
 	}
 	s.remaining -= n
 	s.visits += n
-	s.dist = slices.Grow(s.dist[:0], n)[:n]
-	stride, tau := len(s.prof), s.tau
-	s.prof.Distances(s.dist, leaf.keys[:n*stride])
-	for i, d := range s.dist {
+	s.buf = slices.Grow(s.buf[:0], n)[:n]
+	stride, tau := len(s.query), s.tau
+	if s.minMatch == 0 && !s.matchDist {
+		s.prof.Distances(s.buf, leaf.keys[:n*stride])
+	} else {
+		if metric.MatchCounts(s.buf, s.query, leaf.keys[:n*stride]) < s.minMatch {
+			return
+		}
+		for i, matches := range s.buf {
+			switch {
+			case matches < s.minMatch:
+				s.buf[i] = math.MaxInt
+			case s.matchDist:
+				s.buf[i] = stride - matches
+			default:
+				s.buf[i] = s.prof.Distance(leaf.key(i, stride))
+			}
+		}
+	}
+	for i, d := range s.buf {
 		if d < tau { // tau is +inf while the heap holds fewer than k
 			s.heap.push(Result{Item: Item{Key: leaf.key(i, stride), Ref: leaf.refs[i]}, Dist: d}, s.k)
 			if len(s.heap) == s.k {

@@ -12,6 +12,9 @@
 // Keys have one length per tree (fixed by the first item), so a leaf stores
 // copies of its keys back to back in one byte slab, refs in a parallel slice:
 // a bucket scan walks contiguous memory instead of one slice header per item.
+// A bulk build goes one step further and leaves every leaf of the subtree it
+// built as a sub-slice of one arena, in left-to-right order, so a depth-first
+// lookup walks nearly sequential memory from leaf to leaf as well.
 package vptree
 
 import (
@@ -78,6 +81,12 @@ func (s slab) key(i, stride int) []byte {
 	return s.keys[i*stride : (i+1)*stride : (i+1)*stride]
 }
 
+// slice returns items lo to hi of s as a slab of their own, capped so that
+// appending to it copies them out instead of overwriting item hi.
+func (s slab) slice(lo, hi, stride int) slab {
+	return slab{keys: s.keys[lo*stride : hi*stride : hi*stride], refs: s.refs[lo:hi:hi]}
+}
+
 // add copies a caller's items onto s. Key lengths are a structural invariant
 // of the index, not a runtime condition, so a mismatch panics as the metric
 // would.
@@ -136,7 +145,8 @@ func (t *Tree) Leaves() int {
 	return leaves
 }
 
-// build recursively constructs a subtree. Items are consumed.
+// build constructs a subtree. Items are consumed: they become the subtree's
+// arena, every leaf a sub-slice of it.
 //
 // Construction is median-split: a vantage point is chosen, every item's
 // distance to it is measured, and the median distance becomes the routing
@@ -146,7 +156,8 @@ func (t *Tree) Leaves() int {
 // tree seed, the operation history and the item order — independent of how
 // many goroutines the parallel build fans out to.
 func (t *Tree) build(items slab) *node {
-	return t.buildSeeded(items, t.rng.Int63(), newBuildLimiter())
+	spare := slab{keys: make([]byte, len(items.keys)), refs: make([]uint64, len(items.refs))}
+	return t.buildSeeded(items, spare, true, t.rng.Int63(), newBuildLimiter())
 }
 
 // parallelBuildMin is the subtree size below which recursion stays on the
@@ -179,41 +190,51 @@ func (l buildLimiter) tryAcquire() bool {
 
 func (l buildLimiter) release() { <-l }
 
-func (t *Tree) buildSeeded(items slab, seed int64, lim buildLimiter) *node {
+// buildSeeded builds the subtree over items. spare is the same range of the
+// build's other buffer: a vertex partitions its items into it and the two
+// swap roles one level down, so a build allocates two buffers, not a left and
+// a right slab per vertex. inArena says which of the two items is; a leaf whose
+// items ended up on the other side is copied across (same offsets), so the
+// subtree's leaves tile the arena left to right.
+func (t *Tree) buildSeeded(items, spare slab, inArena bool, seed int64, lim buildLimiter) *node {
 	count := len(items.refs)
 	if count == 0 {
 		return nil
 	}
-	if count <= t.bucketCap {
+	leaf := func() *node {
+		if !inArena {
+			copy(spare.keys, items.keys)
+			copy(spare.refs, items.refs)
+			items = spare
+		}
 		return &node{slab: items, count: count}
+	}
+	if count <= t.bucketCap {
+		return leaf()
 	}
 	rng := rand.New(rand.NewSource(seed))
 	vantage := t.selectVantage(rng, items)
 	dist := make([]int, count)
 	t.distances(vantage, items, dist, lim)
-	mu := medianDistance(dist)
 	// Left takes d <= mu to guarantee the left side is non-empty and to keep
-	// routing (d <= mu goes left) consistent; the partition is a stable scan
-	// so child item order does not depend on the median algorithm.
-	nLeft := 0
-	for _, d := range dist {
-		if d <= mu {
-			nLeft++
-		}
-	}
+	// routing (d <= mu goes left) consistent.
+	mu, nLeft := t.medianDistance(dist)
 	if nLeft == count {
 		// Degenerate: every element within mu of the vantage (e.g. all
 		// identical). An oversized leaf is the only consistent shape.
-		return &node{slab: items, count: count}
+		return leaf()
 	}
-	left, right := t.newSlab(nLeft), t.newSlab(count-nLeft)
+	// The partition is a stable scan, so child item order does not depend on
+	// the median algorithm.
+	l, r := 0, nLeft
 	for i, d := range dist {
-		side := &right
+		at := &r
 		if d <= mu {
-			side = &left
+			at = &l
 		}
-		side.keys = append(side.keys, items.key(i, t.stride)...)
-		side.refs = append(side.refs, items.refs[i])
+		copy(spare.keys[*at*t.stride:], items.key(i, t.stride))
+		spare.refs[*at] = items.refs[i]
+		*at++
 	}
 	leftSeed, rightSeed := rng.Int63(), rng.Int63()
 	n := &node{
@@ -221,20 +242,22 @@ func (t *Tree) buildSeeded(items slab, seed int64, lim buildLimiter) *node {
 		mu:      mu,
 		count:   count,
 	}
+	buildLeft := func() {
+		n.left = t.buildSeeded(spare.slice(0, nLeft, t.stride), items.slice(0, nLeft, t.stride), !inArena, leftSeed, lim)
+	}
+	var wg sync.WaitGroup
 	if nLeft >= parallelBuildMin && lim.tryAcquire() {
-		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer lim.release()
-			n.left = t.buildSeeded(left, leftSeed, lim)
+			buildLeft()
 		}()
-		n.right = t.buildSeeded(right, rightSeed, lim)
-		wg.Wait()
 	} else {
-		n.left = t.buildSeeded(left, leftSeed, lim)
-		n.right = t.buildSeeded(right, rightSeed, lim)
+		buildLeft()
 	}
+	n.right = t.buildSeeded(spare.slice(nLeft, count, t.stride), items.slice(nLeft, count, t.stride), !inArena, rightSeed, lim)
+	wg.Wait()
 	n.height = 1 + maxInt(subHeight(n.left), subHeight(n.right))
 	return n
 }
@@ -275,13 +298,22 @@ func (t *Tree) distances(vantage []byte, items slab, dist []int, lim buildLimite
 	wg.Wait()
 }
 
-// medianDistance returns the element an ascending sort would place at index
-// len/2 — the routing radius of the classic vp-tree median split.
-func medianDistance(dist []int) int {
-	sorted := make([]int, len(dist))
-	copy(sorted, dist)
-	sort.Ints(sorted)
-	return sorted[len(sorted)/2]
+// medianDistance returns the element an ascending sort of dist would place at
+// index len/2 — the routing radius of the classic vp-tree median split — and
+// how many elements are no larger. Distances are small integers (at most the
+// key length times the metric's per-residue maximum), so it counts them
+// instead of sorting a copy.
+func (t *Tree) medianDistance(dist []int) (mu, nLeft int) {
+	counts := make([]int, t.stride*t.metric.MaxPerResidue()+1)
+	for _, d := range dist {
+		counts[d]++
+	}
+	nLeft = counts[0]
+	for nLeft <= len(dist)/2 {
+		mu++
+		nLeft += counts[mu]
+	}
+	return mu, nLeft
 }
 
 func subHeight(n *node) int {
