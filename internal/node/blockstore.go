@@ -1,0 +1,126 @@
+package node
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"slices"
+
+	"mendel/internal/invindex"
+	"mendel/internal/wire"
+)
+
+// Contexts live in fixed-capacity chunks addressed by a 32-bit position,
+// chunk index in the high half and byte offset in the low half.
+const (
+	chunkShift = 16
+	chunkBytes = 1 << chunkShift
+	maxChunks  = 1 << (32 - chunkShift)
+)
+
+// blockLoc locates one stored block: where its context starts, how long the
+// context is and where the block's content sits inside it.
+type blockLoc struct {
+	pos            uint32
+	ctxLen, ctxOff uint16
+}
+
+// blockStore is a node's resident inverted-index blocks. A block's context is
+// copied into the last chunk on add, never straddles two chunks, and a chunk
+// is never reallocated or rewritten below its length, so a view returned by
+// add or get stays valid for ever, also after the node lock is released.
+// Content is a view into the context, and Seq and Start are the packed
+// reference that keys the index — the only per-block state besides the bytes
+// is an 8-byte blockLoc. Guarded by Node.mu.
+type blockStore struct {
+	blockLen, maxCtx int
+	chunks           [][]byte
+	index            map[uint64]blockLoc
+}
+
+func newBlockStore(blockLen, margin int) (blockStore, error) {
+	maxCtx := blockLen + 2*margin
+	if blockLen <= 0 || margin < 0 || maxCtx > math.MaxUint16 {
+		return blockStore{}, fmt.Errorf("bad block geometry: length %d, margin %d", blockLen, margin)
+	}
+	return blockStore{blockLen: blockLen, maxCtx: maxCtx, index: make(map[uint64]blockLoc)}, nil
+}
+
+func (s *blockStore) len() int { return len(s.index) }
+
+// bytes is the memory the store holds for its blocks: chunk capacity plus
+// the per-block locators (the index's own hashing overhead not counted).
+func (s *blockStore) bytes() int { return len(s.chunks)*chunkBytes + len(s.index)*8 }
+
+// check rejects a block the store cannot hold or a search could not extend:
+// everything get and align.ExtendUngapped later index without looking.
+func (s *blockStore) check(b *wire.Block) error {
+	ref := invindex.PackRef(b.Seq, b.Start)
+	switch _, start := invindex.UnpackRef(ref); {
+	case start != b.Start:
+		return fmt.Errorf("block seq=%d: start %d does not fit a packed reference", b.Seq, b.Start)
+	case len(b.Content) != s.blockLen:
+		return fmt.Errorf("block %#x: block length %d, expected %d", ref, len(b.Content), s.blockLen)
+	case len(b.Context) > s.maxCtx:
+		return fmt.Errorf("block %#x: context of %d bytes, at most %d", ref, len(b.Context), s.maxCtx)
+	case b.CtxOff < 0 || b.CtxOff+s.blockLen > len(b.Context):
+		return fmt.Errorf("block %#x: content at [%d:%d] of a %d-byte context", ref, b.CtxOff, b.CtxOff+s.blockLen, len(b.Context))
+	case !bytes.Equal(b.Context[b.CtxOff:b.CtxOff+s.blockLen], b.Content):
+		return fmt.Errorf("block %#x: content differs from its context at offset %d", ref, b.CtxOff)
+	}
+	return nil
+}
+
+// room reports whether n more checked blocks are certain to fit: a chunk
+// holds at least chunkBytes/maxCtx of them and a position names maxChunks.
+func (s *blockStore) room(n int) bool {
+	perChunk := chunkBytes / s.maxCtx
+	return len(s.chunks)+(n+perChunk-1)/perChunk <= maxChunks
+}
+
+// add stores a checked block and returns the stored view of its content, or
+// nil, changing nothing, when the reference is already held.
+func (s *blockStore) add(b *wire.Block) []byte {
+	ref := invindex.PackRef(b.Seq, b.Start)
+	if _, dup := s.index[ref]; dup {
+		return nil
+	}
+	last := len(s.chunks) - 1
+	if last < 0 || chunkBytes-len(s.chunks[last]) < len(b.Context) {
+		s.chunks = append(s.chunks, make([]byte, 0, chunkBytes))
+		last++
+	}
+	off := len(s.chunks[last])
+	s.chunks[last] = append(s.chunks[last], b.Context...)
+	loc := blockLoc{pos: uint32(last<<chunkShift | off), ctxLen: uint16(len(b.Context)), ctxOff: uint16(b.CtxOff)}
+	s.index[ref] = loc
+	return s.view(ref, loc).Content
+}
+
+func (s *blockStore) get(ref uint64) (wire.Block, bool) {
+	loc, ok := s.index[ref]
+	if !ok {
+		return wire.Block{}, false
+	}
+	return s.view(ref, loc), true
+}
+
+func (s *blockStore) view(ref uint64, loc blockLoc) wire.Block {
+	off := int(loc.pos & (chunkBytes - 1))
+	end := off + int(loc.ctxLen)
+	ctx := s.chunks[loc.pos>>chunkShift][off:end:end]
+	id, start := invindex.UnpackRef(ref)
+	cOff := int(loc.ctxOff)
+	return wire.Block{Seq: id, Start: start, Content: ctx[cOff : cOff+s.blockLen : cOff+s.blockLen], Context: ctx, CtxOff: cOff}
+}
+
+// refs returns every held reference in ascending order, the order snapshots
+// and manifests are written in.
+func (s *blockStore) refs() []uint64 {
+	refs := make([]uint64, 0, len(s.index))
+	for ref := range s.index {
+		refs = append(refs, ref)
+	}
+	slices.Sort(refs)
+	return refs
+}

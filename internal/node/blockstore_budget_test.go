@@ -1,0 +1,37 @@
+//go:build !race
+
+package node
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestResidentBytesPerBlock bounds what a stored, indexed block keeps on the
+// heap once every request that carried it is garbage: context chunk, index
+// entry and the vp-tree's copy of the key. A map[uint64]wire.Block whose
+// slices pinned the request frames held about 270 B here; the block store
+// holds about 150 B. (Not under -race: the detector's shadow memory and
+// allocator change the accounting.)
+func TestResidentBytesPerBlock(t *testing.T) {
+	const blocks, budget = 20000, 180
+	frames := hotFrames(t, blocks, 4096)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	n := ingestFrames(t, frames)
+	perBlock := float64(heap()-before) / blocks
+	if st := n.stats(); st.Blocks != blocks || st.TreeSize != blocks {
+		t.Fatalf("stats = %+v, want %d blocks", st, blocks)
+	}
+	t.Logf("%.1f resident bytes per block (%d B of it in the block store)", perBlock, n.Health().BlockBytes/blocks)
+	if perBlock > budget {
+		t.Fatalf("%.1f resident bytes per block, budget %d", perBlock, budget)
+	}
+	runtime.KeepAlive(frames)
+}

@@ -1,0 +1,354 @@
+package node
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"mendel/internal/invindex"
+	"mendel/internal/seq"
+	"mendel/internal/transport"
+	"mendel/internal/wire"
+)
+
+// wireBlocks fragments one random DNA sequence of the given length into
+// stride-1 wire blocks.
+func wireBlocks(rng *rand.Rand, id seq.ID, length int, cfg invindex.Config) []wire.Block {
+	return toWire(seq.MustNew(id, "ref", seq.DNA, string(randDNA(rng, length))), cfg)
+}
+
+func mustStore(t *testing.T, blockLen, margin int) *blockStore {
+	t.Helper()
+	s, err := newBlockStore(blockLen, margin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &s
+}
+
+// mustAdd checks and adds every block, failing on a refusal.
+func mustAdd(t *testing.T, s *blockStore, blocks []wire.Block) {
+	t.Helper()
+	for i := range blocks {
+		if err := s.check(&blocks[i]); err != nil {
+			t.Fatal(err)
+		}
+		if s.add(&blocks[i]) == nil {
+			t.Fatalf("block seq=%d start=%d refused", blocks[i].Seq, blocks[i].Start)
+		}
+	}
+}
+
+// wantBlocks asserts that the store returns every block exactly as given.
+func wantBlocks(t *testing.T, s *blockStore, blocks []wire.Block) {
+	t.Helper()
+	for _, want := range blocks {
+		got, ok := s.get(invindex.PackRef(want.Seq, want.Start))
+		if !ok {
+			t.Fatalf("block seq=%d start=%d missing", want.Seq, want.Start)
+		}
+		if got.Seq != want.Seq || got.Start != want.Start || got.CtxOff != want.CtxOff ||
+			!bytes.Equal(got.Content, want.Content) || !bytes.Equal(got.Context, want.Context) {
+			t.Fatalf("block seq=%d start=%d: got %+v, want %+v", want.Seq, want.Start, got, want)
+		}
+	}
+}
+
+func TestBlockStoreRoundTrip(t *testing.T) {
+	cases := []struct {
+		name                     string
+		blockLen, margin, seqLen int
+	}{
+		{"full and truncated margins", 16, 32, 200}, // first and last 32 blocks are clipped
+		{"no margin", 16, 0, 60},
+		{"sequence shorter than one context", 16, 32, 40}, // every context clipped on both sides
+		{"sequence of one block", 8, 8, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blocks := wireBlocks(rand.New(rand.NewSource(1)), 9, tc.seqLen, invindex.Config{BlockLen: tc.blockLen, Margin: tc.margin})
+			if want := tc.seqLen - tc.blockLen + 1; len(blocks) != want {
+				t.Fatalf("%d blocks, want %d", len(blocks), want)
+			}
+			s := mustStore(t, tc.blockLen, tc.margin)
+			mustAdd(t, s, blocks)
+			if s.len() != len(blocks) {
+				t.Fatalf("len = %d, want %d", s.len(), len(blocks))
+			}
+			wantBlocks(t, s, blocks)
+			refs := s.refs()
+			for i := range refs {
+				if want := invindex.PackRef(9, i); refs[i] != want {
+					t.Fatalf("refs[%d] = %#x, want %#x", i, refs[i], want)
+				}
+			}
+		})
+	}
+}
+
+func TestBlockStoreChunkRollOver(t *testing.T) {
+	// 64-byte contexts fill a chunk exactly; 80-byte ones leave 16 bytes the
+	// next context must not straddle.
+	for _, margin := range []int{24, 32} {
+		ctxLen := 16 + 2*margin
+		perChunk := chunkBytes / ctxLen
+		blocks := wireBlocks(rand.New(rand.NewSource(2)), 1, 2*perChunk+ctxLen+100, invindex.Config{BlockLen: 16, Margin: margin})
+		full := blocks[margin : margin+2*perChunk+1] // full-margin contexts only
+		s := mustStore(t, 16, margin)
+		mustAdd(t, s, full[:perChunk])
+		if len(s.chunks) != 1 || len(s.chunks[0]) != perChunk*ctxLen {
+			t.Fatalf("margin %d: %d chunks, first holds %d bytes after %d blocks", margin, len(s.chunks), len(s.chunks[0]), perChunk)
+		}
+		mustAdd(t, s, full[perChunk:perChunk+1])
+		if len(s.chunks) != 2 || len(s.chunks[0]) != perChunk*ctxLen || len(s.chunks[1]) != ctxLen {
+			t.Fatalf("margin %d: block %d did not open the second chunk", margin, perChunk)
+		}
+		mustAdd(t, s, full[perChunk+1:])
+		if len(s.chunks) != 3 {
+			t.Fatalf("margin %d: %d chunks after %d blocks, want 3", margin, len(s.chunks), len(full))
+		}
+		wantBlocks(t, s, full)
+		if want := 3*chunkBytes + 8*len(full); s.bytes() != want {
+			t.Fatalf("margin %d: bytes = %d, want %d", margin, s.bytes(), want)
+		}
+	}
+}
+
+func TestBlockStoreViewsSurviveGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cfg := invindex.Config{BlockLen: 16, Margin: 32}
+	first := wireBlocks(rng, 1, 300, cfg)
+	s := mustStore(t, 16, 32)
+	mustAdd(t, s, first)
+	views := make([]wire.Block, len(first))
+	for i, b := range first {
+		views[i], _ = s.get(invindex.PackRef(b.Seq, b.Start))
+	}
+	mustAdd(t, s, wireBlocks(rng, 2, 10000+15, cfg))
+	for i, want := range first {
+		if !bytes.Equal(views[i].Context, want.Context) || !bytes.Equal(views[i].Content, want.Content) {
+			t.Fatalf("view of block %d changed after 10000 further adds", i)
+		}
+	}
+	// A view is capped: appending to it cannot reach the next context.
+	v := views[0]
+	if _ = append(v.Context, 'X'); !bytes.Equal(views[1].Context, first[1].Context) {
+		t.Fatal("append to a view overwrote its neighbour")
+	}
+}
+
+func TestBlockStoreDuplicateAddChangesNothing(t *testing.T) {
+	blocks := wireBlocks(rand.New(rand.NewSource(4)), 1, 120, invindex.Config{BlockLen: 16, Margin: 32})
+	s := mustStore(t, 16, 32)
+	mustAdd(t, s, blocks)
+	n, size, used := s.len(), s.bytes(), len(s.chunks[0])
+	// Same reference, different bytes: the stored block must win.
+	dup := wire.Block{Seq: blocks[5].Seq, Start: blocks[5].Start, Content: bytes.Repeat([]byte("T"), 16), Context: bytes.Repeat([]byte("T"), 16)}
+	if err := s.check(&dup); err != nil {
+		t.Fatal(err)
+	}
+	if s.add(&dup) != nil || s.add(&blocks[7]) != nil {
+		t.Fatal("duplicate reference accepted")
+	}
+	if s.len() != n || s.bytes() != size || len(s.chunks[0]) != used {
+		t.Fatal("refused add changed the store")
+	}
+	wantBlocks(t, s, blocks)
+}
+
+func TestBlockStoreRefusesGeometryItCannotAddress(t *testing.T) {
+	for _, g := range [][2]int{{0, 8}, {-1, 8}, {16, -1}, {16, 1 << 15}} {
+		if _, err := newBlockStore(g[0], g[1]); err == nil {
+			t.Errorf("block length %d, margin %d accepted", g[0], g[1])
+		}
+	}
+	s := mustStore(t, 1<<15, 1<<14-1) // 65534-byte contexts: one per chunk
+	if !s.room(maxChunks) || s.room(maxChunks+1) {
+		t.Fatal("room miscounts one-block chunks")
+	}
+}
+
+// TestMalformedBlocksAreRejected drives every geometry violation through
+// Node.Handle: before the check, the second to fourth were stored and
+// panicked a later localSearch worker inside align.ExtendUngapped.
+func TestMalformedBlocksAreRejected(t *testing.T) {
+	good := blocksFor(t, 4, "ACGTACGTGGCCTTAAGGCCTTACGTACGT", 8) // margin 8: contexts up to 24
+	mid := good[10]
+	cases := map[string]func(b *wire.Block){
+		"short content":        func(b *wire.Block) { b.Content = b.Content[:7] },
+		"negative CtxOff":      func(b *wire.Block) { b.CtxOff = -1 },
+		"content past context": func(b *wire.Block) { b.CtxOff = len(b.Context) - 7 },
+		"context too long":     func(b *wire.Block) { b.Context = append(append([]byte{}, b.Context...), 'A') },
+		"content not in context": func(b *wire.Block) {
+			b.Content = append([]byte{}, b.Content...)
+			b.Content[0] ^= 'A' ^ 'C'
+		},
+		"negative start": func(b *wire.Block) { b.Start = -1 },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, nodes, _ := testCluster(t, 1, 8)
+			n, ctx := nodes[0], context.Background()
+			bad := mid
+			corrupt(&bad)
+			batch := append(append([]wire.Block{}, good[:3]...), bad)
+			_, err := n.Handle(ctx, wire.IndexBlocks{Blocks: batch})
+			if err == nil {
+				t.Fatal("malformed block accepted")
+			}
+			if name != "negative start" {
+				if want := fmt.Sprintf("%#x", invindex.PackRef(bad.Seq, bad.Start)); !bytes.Contains([]byte(err.Error()), []byte(want)) {
+					t.Fatalf("error %q does not name ref %s", err, want)
+				}
+			}
+			// The batch is refused whole: nothing stored without a tree entry.
+			if st := n.stats(); st.Blocks != 0 || st.TreeSize != 0 {
+				t.Fatalf("refused batch left %+v", st)
+			}
+
+			// The same block in a doctored snapshot is refused on load.
+			if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: good}); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := n.SaveTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			snap := decodeSnapshot(t, buf.Bytes())
+			corrupt(&snap.Blocks[10])
+			if err := New("n0", transport.NewMemNetwork()).LoadFrom(bytes.NewReader(encodeSnapshot(t, snap))); err == nil {
+				t.Fatal("doctored snapshot accepted")
+			}
+		})
+	}
+}
+
+// TestViewsReadableWhileWriterAdds is the pushBlocks pattern under the race
+// detector: readers take views under the node's read lock, release it, and
+// only then read the bytes, while a writer keeps adding.
+func TestViewsReadableWhileWriterAdds(t *testing.T) {
+	_, nodes, _ := testCluster(t, 1, 16)
+	n, ctx := nodes[0], context.Background()
+	rng := rand.New(rand.NewSource(5))
+	cfg := invindex.Config{BlockLen: 16, Margin: 8}
+	seed := wireBlocks(rng, 1, 500, cfg)
+	if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: seed, Stage: true}); err != nil {
+		t.Fatal(err)
+	}
+	batches := make([][]wire.Block, 40)
+	for i := range batches {
+		batches[i] = wireBlocks(rng, seq.ID(2+i), 300, cfg) // 40 × 285 × 32 B: several chunks
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i = (i + 7) % len(seed) {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				want := seed[i]
+				got, ok := n.blockByRef(invindex.PackRef(want.Seq, want.Start)) // lock released on return
+				if !ok || !bytes.Equal(got.Context, want.Context) || !bytes.Equal(got.Content, want.Content) {
+					t.Errorf("reader %d: block %d read back wrong", r, i)
+					return
+				}
+			}
+		}(r)
+	}
+	for _, b := range batches {
+		if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: b, Stage: true}); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, err := n.Handle(ctx, wire.BuildIndex{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := n.stats(); st.Blocks != len(seed)+40*285 || st.TreeSize != st.Blocks {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// hotFrames returns n synthetic stride-1 protein-geometry blocks (16-residue
+// blocks, 32-residue margins, 400-residue sequences) as the payloads the
+// coordinator's ingest sends: wire.AppendHot frames of perFrame staged blocks.
+func hotFrames(tb testing.TB, n, perFrame int) [][]byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(6))
+	var blocks []wire.Block
+	for id := seq.ID(1); len(blocks) < n; id++ {
+		blocks = append(blocks, wireBlocks(rng, id, 400, invindex.DefaultConfig)...)
+	}
+	blocks = blocks[:n]
+	var frames [][]byte
+	for len(blocks) > 0 {
+		k := perFrame
+		if k > len(blocks) {
+			k = len(blocks)
+		}
+		frame, ok := wire.AppendHot(nil, wire.IndexBlocks{Blocks: blocks[:k], Stage: true})
+		if !ok {
+			tb.Fatal("IndexBlocks has no binary codec")
+		}
+		frames = append(frames, frame)
+		blocks = blocks[k:]
+	}
+	return frames
+}
+
+// ingestFrames boots a one-node cluster for hotFrames' geometry and feeds it
+// the frames the way the TCP server does: a fresh copy of each payload,
+// decoded zero-copy, handled, dropped; then one BuildIndex.
+func ingestFrames(tb testing.TB, frames [][]byte) *Node {
+	tb.Helper()
+	n := New("solo", transport.NewMemNetwork())
+	ctx := context.Background()
+	boot := wire.Bootstrap{Metric: "hamming", BlockLen: 16, Margin: 32, Groups: [][]string{{"solo"}}, Kind: seq.DNA}
+	if _, err := n.Handle(ctx, boot); err != nil {
+		tb.Fatal(err)
+	}
+	for _, frame := range frames {
+		req, err := wire.DecodeHot(append([]byte(nil), frame...))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := n.Handle(ctx, req); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := n.Handle(ctx, wire.BuildIndex{}); err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkNodeIndexBlocks is the node's share of bulk ingest: 4096-block
+// staged batches decoded from real frames, then the bulk build. B/block is
+// what allocation the ingest costs, not what stays resident (the budget test
+// bounds that).
+func BenchmarkNodeIndexBlocks(b *testing.B) {
+	const blocks = 5 * 4096
+	frames := hotFrames(b, blocks, 4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := ingestFrames(b, frames); n.stats().TreeSize != blocks {
+			b.Fatalf("tree holds %d of %d blocks", n.stats().TreeSize, blocks)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*blocks), "B/block")
+}

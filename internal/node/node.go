@@ -41,13 +41,12 @@ type Node struct {
 	margin       int
 	searchBudget int
 	topo         *dht.Topology
-	hashTree     *vphash.Tree
+	hashTree     []byte // as bootstrapped: the node only validates and persists it
 	group        int
 	// Storage state.
-	tree     *vptree.Tree
-	blocks   map[uint64]wire.Block
-	residues int
-	seqs     map[seq.ID]storedSeq
+	tree   *vptree.Tree
+	blocks blockStore
+	seqs   map[seq.ID]storedSeq
 	// staged holds blocks accepted with IndexBlocks.Stage, awaiting the
 	// BuildIndex bulk build.
 	staged []vptree.Item
@@ -79,7 +78,6 @@ func New(addr string, caller transport.Caller) *Node {
 	return &Node{
 		addr:   addr,
 		caller: caller,
-		blocks: make(map[uint64]wire.Block),
 		seqs:   make(map[seq.ID]storedSeq),
 	}
 }
@@ -180,10 +178,8 @@ func (n *Node) bootstrap(b wire.Bootstrap) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hashTree *vphash.Tree
 	if len(b.HashTree) > 0 {
-		hashTree = new(vphash.Tree)
-		if err := hashTree.UnmarshalBinary(b.HashTree); err != nil {
+		if err := new(vphash.Tree).UnmarshalBinary(b.HashTree); err != nil {
 			return nil, err
 		}
 	}
@@ -195,8 +191,9 @@ func (n *Node) bootstrap(b wire.Bootstrap) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("node %s: not a member of the bootstrapped topology", n.addr)
 	}
-	if b.BlockLen <= 0 {
-		return nil, fmt.Errorf("node %s: bad block length %d", n.addr, b.BlockLen)
+	blocks, err := newBlockStore(b.BlockLen, b.Margin)
+	if err != nil {
+		return nil, fmt.Errorf("node %s: %w", n.addr, err)
 	}
 
 	n.mu.Lock()
@@ -208,11 +205,10 @@ func (n *Node) bootstrap(b wire.Bootstrap) (any, error) {
 	n.margin = b.Margin
 	n.searchBudget = b.SearchBudget
 	n.topo = topo
-	n.hashTree = hashTree
+	n.hashTree = b.HashTree
 	n.group = group
 	n.tree = vptree.New(met, 0, 1)
-	n.blocks = make(map[uint64]wire.Block)
-	n.residues = 0
+	n.blocks = blocks
 	n.seqs = make(map[seq.ID]storedSeq)
 	n.staged = nil
 	n.sketch = nil
@@ -256,21 +252,9 @@ func (n *Node) indexBlocks(r wire.IndexBlocks) (any, error) {
 	if !n.booted {
 		return nil, fmt.Errorf("node %s: not bootstrapped", n.addr)
 	}
-	items := make([]vptree.Item, 0, len(r.Blocks))
-	for _, b := range r.Blocks {
-		if len(b.Content) != n.blockLen {
-			return nil, fmt.Errorf("node %s: block length %d, expected %d", n.addr, len(b.Content), n.blockLen)
-		}
-		ref := invindex.PackRef(b.Seq, b.Start)
-		if _, dup := n.blocks[ref]; dup {
-			continue
-		}
-		n.blocks[ref] = b
-		n.residues += len(b.Content)
-		if n.sketch != nil {
-			n.sketch.Add(b.Content)
-		}
-		items = append(items, vptree.Item{Key: b.Content, Ref: ref})
+	items, err := n.storeBlocks(r.Blocks)
+	if err != nil {
+		return nil, err
 	}
 	if r.Stage {
 		// Deferred indexing: the blocks are stored and searchable state is
@@ -284,6 +268,32 @@ func (n *Node) indexBlocks(r wire.IndexBlocks) (any, error) {
 	// ground between per-element inserts and full rebuilds).
 	n.tree.InsertBatch(items)
 	return wire.IndexBlocksAck{Accepted: len(items)}, nil
+}
+
+// storeBlocks copies the blocks the node does not hold yet into its store and
+// sketch and returns them as tree items keyed by the stored content. A batch
+// with a malformed block is refused whole, before anything is stored.
+func (n *Node) storeBlocks(blocks []wire.Block) ([]vptree.Item, error) {
+	for i := range blocks {
+		if err := n.blocks.check(&blocks[i]); err != nil {
+			return nil, fmt.Errorf("node %s: %w", n.addr, err)
+		}
+	}
+	if !n.blocks.room(len(blocks)) {
+		return nil, fmt.Errorf("node %s: block store full at %d blocks", n.addr, n.blocks.len())
+	}
+	items := make([]vptree.Item, 0, len(blocks))
+	for i := range blocks {
+		content := n.blocks.add(&blocks[i])
+		if content == nil {
+			continue // already held: hint replay, repair push or retry
+		}
+		if n.sketch != nil {
+			n.sketch.Add(content)
+		}
+		items = append(items, vptree.Item{Key: content, Ref: invindex.PackRef(blocks[i].Seq, blocks[i].Start)})
+	}
+	return items, nil
 }
 
 // buildIndex folds every staged block into the local vp-tree. Items are
@@ -399,8 +409,8 @@ func (n *Node) stats() wire.StatsResult {
 	}
 	return wire.StatsResult{
 		Node:      n.addr,
-		Blocks:    len(n.blocks),
-		Residues:  n.residues,
+		Blocks:    n.blocks.len(),
+		Residues:  n.blocks.len() * n.blockLen,
 		Sequences: len(n.seqs),
 		TreeSize:  treeSize,
 		BusyNS:    n.busyNS.Load(),

@@ -68,8 +68,12 @@ func randDNA(rng *rand.Rand, n int) []byte {
 
 func blocksFor(t *testing.T, id seq.ID, data string, blockLen int) []wire.Block {
 	t.Helper()
-	s := seq.MustNew(id, "ref", seq.DNA, data)
-	raw := invindex.Blocks(s, invindex.Config{BlockLen: blockLen, Margin: 8})
+	return toWire(seq.MustNew(id, "ref", seq.DNA, data), invindex.Config{BlockLen: blockLen, Margin: 8})
+}
+
+// toWire fragments a sequence into stride-1 blocks in their wire form.
+func toWire(s *seq.Sequence, cfg invindex.Config) []wire.Block {
+	raw := invindex.Blocks(s, cfg)
 	out := make([]wire.Block, len(raw))
 	for i, b := range raw {
 		out[i] = wire.Block{Seq: b.Seq, Start: b.Start, Content: b.Content, Context: b.Context, CtxOff: b.CtxOff}
@@ -149,6 +153,9 @@ func TestIndexBlocksAndStats(t *testing.T) {
 	}
 	if stats.Residues != len(blocks)*8 {
 		t.Fatalf("residues = %d", stats.Residues)
+	}
+	if h := n.Health(); h.Blocks != len(blocks) || h.BlockBytes != chunkBytes+8*len(blocks) {
+		t.Fatalf("health = %+v, want %d blocks in one chunk", h, len(blocks))
 	}
 }
 

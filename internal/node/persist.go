@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 
-	"mendel/internal/invindex"
 	"mendel/internal/metric"
 	"mendel/internal/seq"
 	"mendel/internal/vptree"
@@ -60,18 +59,18 @@ func (n *Node) SaveTo(w io.Writer) error {
 			groups[g] = n.topo.GroupNodes(g)
 		}
 		snap.Groups = groups
-		if n.hashTree != nil {
-			enc, err := n.hashTree.MarshalBinary()
-			if err != nil {
-				return err
-			}
-			snap.HashTree = enc
+		// The bootstrapped encoding, not a re-marshaled tree: vphash encodes
+		// a Go map, so marshaling twice gives different bytes.
+		snap.HashTree = n.hashTree
+		// Blocks in ascending reference order and sequences in ascending
+		// ID order: two saves of the same state are the same bytes.
+		refs := n.blocks.refs()
+		snap.Blocks = make([]wire.Block, len(refs))
+		for i, ref := range refs {
+			snap.Blocks[i], _ = n.blocks.get(ref)
 		}
-		snap.Blocks = make([]wire.Block, 0, len(n.blocks))
-		for _, b := range n.blocks {
-			snap.Blocks = append(snap.Blocks, b)
-		}
-		for id, s := range n.seqs {
+		for _, id := range n.seqIDs() {
+			s := n.seqs[id]
 			snap.SeqIDs = append(snap.SeqIDs, id)
 			snap.SeqNames = append(snap.SeqNames, s.name)
 			snap.SeqData = append(snap.SeqData, s.data)
@@ -118,18 +117,12 @@ func (n *Node) LoadFrom(r io.Reader) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	items := make([]vptree.Item, 0, len(snap.Blocks))
-	for _, b := range snap.Blocks {
-		ref := invindex.PackRef(b.Seq, b.Start)
-		n.blocks[ref] = b
-		n.residues += len(b.Content)
-		if n.sketch != nil {
-			n.sketch.Add(b.Content)
-		}
-		items = append(items, vptree.Item{Key: b.Content, Ref: ref})
+	items, err := n.storeBlocks(snap.Blocks)
+	if err != nil {
+		return fmt.Errorf("loading snapshot: %w", err)
 	}
-	// Snapshots serialize the block map in arbitrary order; sorting by ref
-	// makes the rebuilt tree identical across save/load cycles.
+	// Snapshots written before saves were ordered list blocks in map order;
+	// sorting keeps the rebuilt tree a function of the block set alone.
 	sort.Slice(items, func(i, j int) bool { return items[i].Ref < items[j].Ref })
 	n.tree = vptree.Build(met, 0, 1, items)
 	for i, id := range snap.SeqIDs {

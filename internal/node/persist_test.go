@@ -3,6 +3,8 @@ package node
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"reflect"
 	"testing"
 
 	"mendel/internal/invindex"
@@ -62,6 +64,87 @@ func TestSnapshotRoundTripRestoresSearch(t *testing.T) {
 	}
 	if string(region.(wire.Region).Data) != ref[:8] {
 		t.Fatal("restored repository wrong")
+	}
+}
+
+func decodeSnapshot(t *testing.T, data []byte) snapshot {
+	t.Helper()
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+func encodeSnapshot(t *testing.T, snap snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotIsReproducible: a snapshot is a function of the node's state.
+// SaveTo used to walk two Go maps, so two saves of one node differed.
+func TestSnapshotIsReproducible(t *testing.T) {
+	_, nodes, _ := testCluster(t, 1, 8)
+	n, ctx := nodes[0], context.Background()
+	store := wire.StoreSequences{}
+	refs := []string{"ACGTACGTGGCCTTAAGGCCTTACGTACGT", "TTGACCAGTAGGCATCGATCGGATCAGTTA", "GGATCCATTTGCAGGCATACGATTACAGGA"}
+	for i, ref := range refs {
+		id := seq.ID(9 - 3*i) // descending: ingest order is not save order
+		if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: blocksFor(t, id, ref, 8)}); err != nil {
+			t.Fatal(err)
+		}
+		store.IDs = append(store.IDs, id)
+		store.Names = append(store.Names, "ref")
+		store.Data = append(store.Data, []byte(ref))
+	}
+	if _, err := n.Handle(ctx, store); err != nil {
+		t.Fatal(err)
+	}
+	save := func(n *Node) []byte {
+		var buf bytes.Buffer
+		if err := n.SaveTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := save(n)
+	for i := 0; i < 5; i++ {
+		if !bytes.Equal(save(n), first) {
+			t.Fatal("two saves of one node differ")
+		}
+	}
+	snap := decodeSnapshot(t, first)
+	for i := 1; i < len(snap.Blocks); i++ {
+		if invindex.PackRef(snap.Blocks[i-1].Seq, snap.Blocks[i-1].Start) >= invindex.PackRef(snap.Blocks[i].Seq, snap.Blocks[i].Start) {
+			t.Fatalf("snapshot blocks %d and %d out of reference order", i-1, i)
+		}
+	}
+	restored := New("n0", transport.NewMemNetwork())
+	if err := restored.LoadFrom(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save(restored), first) {
+		t.Fatal("save, load, save changed the snapshot")
+	}
+	params := wire.DefaultParams()
+	params.Matrix = "DNA"
+	params.Identity = 0.7
+	params.CScore = 0.5
+	search := wire.LocalSearch{Query: []byte(refs[1][4:28]), Offsets: []int{0, 8, 16}, WindowLen: 8, Params: params}
+	want, err := n.Handle(ctx, search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Handle(ctx, search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := want.(wire.LocalSearchResult).Anchors; len(a) == 0 || !reflect.DeepEqual(got.(wire.LocalSearchResult).Anchors, a) {
+		t.Fatalf("restored node answers %+v, original %+v", got.(wire.LocalSearchResult).Anchors, a)
 	}
 }
 

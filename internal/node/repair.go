@@ -25,21 +25,23 @@ func (n *Node) blockManifest() (any, error) {
 	if !n.booted {
 		return nil, fmt.Errorf("node %s: not bootstrapped", n.addr)
 	}
-	refs := make([]uint64, 0, len(n.blocks))
-	for ref := range n.blocks {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
+	refs := n.blocks.refs()
 	hashes := make([]uint64, len(refs))
 	for i, ref := range refs {
-		hashes[i] = dht.KeyHash(n.blocks[ref].Content)
+		b, _ := n.blocks.get(ref)
+		hashes[i] = dht.KeyHash(b.Content)
 	}
+	return wire.BlockManifestResult{Node: n.addr, Refs: refs, Hashes: hashes, Seqs: n.seqIDs()}, nil
+}
+
+// seqIDs returns the IDs of the sequence shards held, ascending.
+func (n *Node) seqIDs() []seq.ID {
 	ids := make([]seq.ID, 0, len(n.seqs))
 	for id := range n.seqs {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return wire.BlockManifestResult{Node: n.addr, Refs: refs, Hashes: hashes, Seqs: ids}, nil
+	return ids
 }
 
 // pushBlocks re-replicates the requested blocks to another node via the
@@ -56,7 +58,7 @@ func (n *Node) pushBlocks(ctx context.Context, r wire.PushBlocks) (any, error) {
 	blocks := make([]wire.Block, 0, len(r.Refs))
 	missing := 0
 	for _, ref := range r.Refs {
-		b, ok := n.blocks[ref]
+		b, ok := n.blocks.get(ref)
 		if !ok {
 			missing++
 			continue
@@ -118,12 +120,15 @@ func (n *Node) pushSequences(ctx context.Context, r wire.PushSequences) (any, er
 // /debug/health. Unlike the coordinator's cluster view it covers only this
 // process.
 type HealthInfo struct {
-	Addr      string `json:"addr"`
-	Booted    bool   `json:"booted"`
-	Blocks    int    `json:"blocks"`
-	Sequences int    `json:"sequences"`
-	TreeSize  int    `json:"tree_size"`
-	Staged    int    `json:"staged"`
+	Addr   string `json:"addr"`
+	Booted bool   `json:"booted"`
+	Blocks int    `json:"blocks"`
+	// BlockBytes is the memory the block store holds for Blocks: context
+	// chunks plus per-block locators, computed from the layout.
+	BlockBytes int `json:"block_bytes"`
+	Sequences  int `json:"sequences"`
+	TreeSize   int `json:"tree_size"`
+	Staged     int `json:"staged"`
 }
 
 // Health reports the node's local health summary.
@@ -135,11 +140,12 @@ func (n *Node) Health() HealthInfo {
 		treeSize = n.tree.Size()
 	}
 	return HealthInfo{
-		Addr:      n.addr,
-		Booted:    n.booted,
-		Blocks:    len(n.blocks),
-		Sequences: len(n.seqs),
-		TreeSize:  treeSize,
-		Staged:    len(n.staged),
+		Addr:       n.addr,
+		Booted:     n.booted,
+		Blocks:     n.blocks.len(),
+		BlockBytes: n.blocks.bytes(),
+		Sequences:  len(n.seqs),
+		TreeSize:   treeSize,
+		Staged:     len(n.staged),
 	}
 }

@@ -102,7 +102,7 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 					if cScoreInto(window, cand.Key, m, matched) < r.Params.CScore {
 						continue
 					}
-					block, ok := n.blocks[cand.Ref]
+					block, ok := n.blocks.get(cand.Ref)
 					if !ok {
 						continue // cannot happen; defensive against store drift
 					}
@@ -227,6 +227,5 @@ func extendAnchor(query []byte, qOff, w int, block wire.Block, m *matrix.Matrix)
 func (n *Node) blockByRef(ref uint64) (wire.Block, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	b, ok := n.blocks[ref]
-	return b, ok
+	return n.blocks.get(ref)
 }
