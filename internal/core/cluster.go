@@ -62,10 +62,14 @@ type Cluster struct {
 
 	// groupSketches and sketchComplete are the coordinator's prefilter
 	// view: the per-group merges of the node k-mer sketches pulled by
-	// refreshSketches. A group may be skipped only while its sketch is
-	// complete (every member contributed).
+	// refreshSketches or grown by foldSketches. A group may be skipped
+	// only while its sketch is complete (every member contributed).
+	// sketchGen counts installs, folds and invalidations; sketchTopo is
+	// the last pull's topology, nil while the view may not match nodes.
 	groupSketches  map[int]*sketch.Sketch
 	sketchComplete map[int]bool
+	sketchGen      uint64
+	sketchTopo     *dht.Topology
 	// seqSketches holds each indexed sequence's bottom-k MinHash values —
 	// the database side of the alignment-free Similarity mode, persisted in
 	// the manifest.

@@ -375,6 +375,10 @@ func (c *Cluster) recoverNode(ctx context.Context, addr string, booted bool) err
 	}
 
 	blocks, seqs := c.hints.take(addr)
+	if !booted || len(blocks) > 0 {
+		// The node's sketch changes outside a write: the next one must pull.
+		defer c.invalidateSketches()
+	}
 	replay := func() error {
 		for start := 0; start < len(blocks); start += indexBatchBlocks {
 			end := start + indexBatchBlocks

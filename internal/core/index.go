@@ -68,18 +68,23 @@ func (c *Cluster) Index(ctx context.Context, set *seq.Set) error {
 	tree := c.hashTree
 	c.mu.Unlock()
 
-	if err := c.storeSequences(ctx, set, base); err != nil {
+	w := c.beginWrite()
+	if err := c.storeSequences(ctx, set, base, w); err != nil {
+		c.invalidateSketches()
 		return err
 	}
-	if err := c.dispatchBlocks(ctx, set, base, blockCfg, tree); err != nil {
+	if err := c.dispatchBlocks(ctx, set, base, blockCfg, tree, w); err != nil {
+		c.invalidateSketches()
 		return err
 	}
 	// Sketch maintenance: per-sequence MinHash signatures for the
-	// alignment-free Similarity mode, then a pull of the nodes' merged
-	// group sketches so the prefilter sees the new data. Both are no-ops
-	// when sketching is disabled.
+	// alignment-free Similarity mode, then the group sketches — folded from
+	// the write's own placements when the view allows it, else pulled from
+	// every node. Both are no-ops when sketching is disabled.
 	c.updateSeqSketches(set, base)
-	c.refreshSketches(ctx)
+	if !c.foldSketches(w) {
+		c.refreshSketches(ctx)
+	}
 	return nil
 }
 
@@ -176,7 +181,7 @@ func (c *Cluster) bootstrapMsg() (wire.Bootstrap, error) {
 // shard does not fail the ingest: its write set is parked as a hint and
 // replayed when the health monitor sees the node return (with Replicas >= 2
 // the surviving copies keep queries at full recall meanwhile).
-func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID) error {
+func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID, w *sketchWrite) error {
 	byNode := make(map[string]*wire.StoreSequences)
 	for _, s := range set.Seqs {
 		gid := base + s.ID
@@ -195,6 +200,7 @@ func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID)
 		if _, err := c.caller.Call(ctx, node, *msg); err != nil {
 			if errors.Is(err, transport.ErrUnreachable) {
 				c.hintSequences(node, *msg)
+				w.spoilt.Store(true)
 				return nil
 			}
 			return fmt.Errorf("core: storing sequences on %s: %w", node, err)
@@ -244,12 +250,12 @@ func (c *Cluster) hintBlocks(node string, blocks []wire.Block) {
 // with one bulk median-split build. Both pipelines stage: nodes sort the
 // staged set before building, so the serial and parallel paths produce
 // byte-identical trees (asserted by TestIngestSerialParallelEquivalence).
-func (c *Cluster) dispatchBlocks(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree) error {
+func (c *Cluster) dispatchBlocks(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite) error {
 	var err error
 	if workers := c.cfg.ingestWorkers(); workers <= 1 {
-		err = c.dispatchSerial(ctx, set, base, blockCfg, tree)
+		err = c.dispatchSerial(ctx, set, base, blockCfg, tree, w)
 	} else {
-		err = c.dispatchParallel(ctx, set, base, blockCfg, tree, workers)
+		err = c.dispatchParallel(ctx, set, base, blockCfg, tree, w, workers)
 	}
 	if err != nil {
 		return err
@@ -257,7 +263,7 @@ func (c *Cluster) dispatchBlocks(ctx context.Context, set *seq.Set, base seq.ID,
 	// A node that went down mid-ingest must not fail the build for everyone
 	// else: its staged blocks are parked as hints, and the recovery sequence
 	// always ends with a BuildIndex, so nothing is lost — only deferred.
-	nodes := c.topology().AllNodes()
+	nodes := w.topo.AllNodes()
 	_, errs := transport.BroadcastAll(ctx, c.caller, nodes, wire.BuildIndex{})
 	for i, e := range errs {
 		if e != nil && !errors.Is(e, transport.ErrUnreachable) {
@@ -267,38 +273,50 @@ func (c *Cluster) dispatchBlocks(ctx context.Context, set *seq.Set, base seq.ID,
 	return nil
 }
 
+// sendBlocks ships one staged batch to node, parking it as a hinted handoff
+// for replay on recovery if the node is unreachable (§VII-B fault
+// tolerance). A hint or a short ack spoils the write's sketch fold.
+func (c *Cluster) sendBlocks(ctx context.Context, node string, blocks []wire.Block, w *sketchWrite) error {
+	resp, err := c.caller.Call(ctx, node, wire.IndexBlocks{Blocks: blocks, Stage: true})
+	if err != nil {
+		if errors.Is(err, transport.ErrUnreachable) {
+			c.hintBlocks(node, blocks)
+			w.spoilt.Store(true)
+			return nil
+		}
+		return fmt.Errorf("core: indexing blocks on %s: %w", node, err)
+	}
+	if ack, ok := resp.(wire.IndexBlocksAck); !ok || ack.Accepted != len(blocks) {
+		w.spoilt.Store(true)
+	}
+	return nil
+}
+
 // dispatchSerial is the single-threaded ingest pipeline, kept both as the
 // IngestWorkers=1 escape hatch and as the baseline the perf harness and the
 // equivalence test compare the parallel pipeline against.
-func (c *Cluster) dispatchSerial(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree) error {
+func (c *Cluster) dispatchSerial(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite) error {
 	pending := make(map[string][]wire.Block)
 	flush := func(node string) error {
 		blocks := pending[node]
 		if len(blocks) == 0 {
 			return nil
 		}
-		if _, err := c.caller.Call(ctx, node, wire.IndexBlocks{Blocks: blocks, Stage: true}); err != nil {
-			if errors.Is(err, transport.ErrUnreachable) {
-				// Hinted handoff: park the batch for replay on recovery
-				// instead of failing the ingest (§VII-B fault tolerance).
-				c.hintBlocks(node, blocks)
-				pending[node] = nil
-				return nil
-			}
-			return fmt.Errorf("core: indexing blocks on %s: %w", node, err)
-		}
 		pending[node] = nil
-		return nil
+		return c.sendBlocks(ctx, node, blocks, w)
 	}
 	replicas := c.cfg.replicas()
-	topo := c.topology()
+	var placed []placement
 	for _, s := range set.Seqs {
 		gid := base + s.ID
 		for _, b := range invindex.Blocks(s, blockCfg) {
 			group := tree.Group(b.Content) // tier 1: similarity
 			// Tier 2: flat SHA-1 ring within the group, with optional
 			// replication to the next distinct ring members.
-			for _, node := range topo.ReplicasFor(group, b.Content, replicas) {
+			for _, node := range w.topo.ReplicasFor(group, b.Content, replicas) {
+				if w.fold {
+					placed = append(placed, placement{group, b.Content})
+				}
 				pending[node] = append(pending[node], wire.Block{
 					Seq:     gid,
 					Start:   b.Start,
@@ -319,6 +337,7 @@ func (c *Cluster) dispatchSerial(ctx context.Context, set *seq.Set, base seq.ID,
 			return err
 		}
 	}
+	w.placed = placed
 	return nil
 }
 
@@ -332,7 +351,7 @@ func (c *Cluster) dispatchSerial(ctx context.Context, set *seq.Set, base seq.ID,
 // concurrently. The first error cancels the pipeline; block placement is a
 // pure function of content, so concurrency never changes where a block
 // lands, and staging (see dispatchBlocks) keeps the trees deterministic.
-func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, workers int) error {
+func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite, workers int) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -346,7 +365,7 @@ func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.I
 		})
 	}
 
-	nodes := c.topology().AllNodes()
+	nodes := w.topo.AllNodes()
 	sendCh := make(map[string]chan []wire.Block, len(nodes))
 	var senders sync.WaitGroup
 	for _, node := range nodes {
@@ -359,29 +378,24 @@ func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.I
 				if ctx.Err() != nil {
 					continue // failed: drain so workers never block
 				}
-				if _, err := c.caller.Call(ctx, node, wire.IndexBlocks{Blocks: blocks, Stage: true}); err != nil {
-					if errors.Is(err, transport.ErrUnreachable) {
-						// Hinted handoff, as in the serial pipeline; the
-						// sender goroutine owns this node's batches, so
-						// hints preserve delivery order per node.
-						c.hintBlocks(node, blocks)
-						continue
-					}
-					fail(fmt.Errorf("core: indexing blocks on %s: %w", node, err))
+				// The sender goroutine owns this node's batches, so hints
+				// preserve delivery order per node.
+				if err := c.sendBlocks(ctx, node, blocks, w); err != nil {
+					fail(err)
 				}
 			}
 		}(node, ch)
 	}
 
 	replicas := c.cfg.replicas()
-	topo := c.topology()
 	seqCh := make(chan *seq.Sequence)
 	var frags sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		frags.Add(1)
 		go func() {
 			defer frags.Done()
 			pending := make(map[string][]wire.Block)
+			var placed []placement
 			emit := func(node string, blocks []wire.Block) {
 				select {
 				case sendCh[node] <- blocks:
@@ -395,7 +409,10 @@ func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.I
 				gid := base + s.ID
 				for _, b := range invindex.Blocks(s, blockCfg) {
 					group := tree.Group(b.Content)
-					for _, node := range topo.ReplicasFor(group, b.Content, replicas) {
+					for _, node := range w.topo.ReplicasFor(group, b.Content, replicas) {
+						if w.fold {
+							placed = append(placed, placement{group, b.Content})
+						}
 						pending[node] = append(pending[node], wire.Block{
 							Seq:     gid,
 							Start:   b.Start,
@@ -415,6 +432,9 @@ func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.I
 					emit(node, blocks)
 				}
 			}
+			w.mu.Lock()
+			w.placed = append(w.placed, placed...)
+			w.mu.Unlock()
 		}()
 	}
 

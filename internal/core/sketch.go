@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
+	"sync"
+	"sync/atomic"
 
+	"mendel/internal/dht"
 	"mendel/internal/seq"
 	"mendel/internal/sketch"
 	"mendel/internal/transport"
@@ -75,52 +79,136 @@ func (c *Cluster) PrefilterMode() PrefilterMode { return c.prefilter }
 // contactable, so a stale or partial view can never lose a hit. Best
 // effort by design: Index and Repair call it after the data moves, and a
 // failed refresh only means the prefilter skips less.
+// A pull installs only if sketchGen did not move while it was in flight;
+// otherwise its view may predate a newer one's blocks, and it pulls again.
 func (c *Cluster) refreshSketches(ctx context.Context) {
 	p := c.cfg.sketchParams()
 	if !p.Enabled() {
 		return
 	}
-	topo := c.topology()
-	nodes := topo.AllNodes()
-	resps, errs := transport.BroadcastAll(ctx, c.caller, nodes, wire.SketchFetch{})
-	nodeSketch := make(map[string]*sketch.Sketch, len(nodes))
-	for i, r := range resps {
-		if errs[i] != nil {
-			continue
-		}
-		sfr, ok := r.(wire.SketchFetchResult)
-		if !ok || len(sfr.Sketch) == 0 {
-			continue
-		}
-		s, err := sketch.UnmarshalBinary(sfr.Sketch)
-		if err != nil {
-			continue
-		}
-		nodeSketch[nodes[i]] = s
-	}
-	groupSketches := make(map[int]*sketch.Sketch, topo.Groups())
-	sketchComplete := make(map[int]bool, topo.Groups())
-	for g := 0; g < topo.Groups(); g++ {
-		merged := sketch.New(p)
-		complete := true
-		for _, member := range topo.GroupNodes(g) {
-			s, ok := nodeSketch[member]
-			if !ok {
-				complete = false
+	for {
+		c.mu.RLock()
+		gen, topo := c.sketchGen, c.topo
+		c.mu.RUnlock()
+		nodes := topo.AllNodes()
+		resps, errs := transport.BroadcastAll(ctx, c.caller, nodes, wire.SketchFetch{})
+		nodeSketch := make(map[string]*sketch.Sketch, len(nodes))
+		for i, r := range resps {
+			if errs[i] != nil {
 				continue
 			}
-			if err := merged.Merge(s); err != nil {
-				complete = false
+			sfr, ok := r.(wire.SketchFetchResult)
+			if !ok || len(sfr.Sketch) == 0 {
+				continue
 			}
+			s, err := sketch.UnmarshalBinary(sfr.Sketch)
+			if err != nil {
+				continue
+			}
+			nodeSketch[nodes[i]] = s
 		}
-		groupSketches[g] = merged
-		sketchComplete[g] = complete
+		groupSketches := make(map[int]*sketch.Sketch, topo.Groups())
+		sketchComplete := make(map[int]bool, topo.Groups())
+		for g := 0; g < topo.Groups(); g++ {
+			merged := sketch.New(p)
+			complete := true
+			for _, member := range topo.GroupNodes(g) {
+				s, ok := nodeSketch[member]
+				if !ok {
+					complete = false
+					continue
+				}
+				if err := merged.Merge(s); err != nil {
+					complete = false
+				}
+			}
+			groupSketches[g] = merged
+			sketchComplete[g] = complete
+		}
+		c.mu.Lock()
+		if c.sketchGen == gen {
+			c.groupSketches = groupSketches
+			c.sketchComplete = sketchComplete
+			c.sketchTopo = topo
+			c.sketchGen++
+			c.mu.Unlock()
+			c.reg.Counter("sketch_refreshes").Inc()
+			return
+		}
+		c.mu.Unlock()
+		if ctx.Err() != nil {
+			return
+		}
+	}
+}
+
+// sketchWrite is one Index's account of where its blocks went, from which
+// foldSketches grows the group sketches without pulling them.
+type sketchWrite struct {
+	gen    uint64        // sketchGen when the write began
+	topo   *dht.Topology // the topology every block was placed under
+	view   map[int]*sketch.Sketch
+	fold   bool        // view was pulled under topo, every group complete
+	spoilt atomic.Bool // a batch was hinted or refused in part
+	mu     sync.Mutex
+	placed []placement
+}
+
+// placement is one block stored on one replica node.
+type placement struct {
+	group   int
+	content []byte
+}
+
+// beginWrite snapshots the sketch view a write starts from.
+func (c *Cluster) beginWrite() *sketchWrite {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	w := &sketchWrite{gen: c.sketchGen, topo: c.topo, view: c.groupSketches}
+	w.fold = c.sketchTopo == c.topo
+	for g := 0; g < c.topo.Groups() && w.fold; g++ {
+		w.fold = c.sketchComplete[g]
+	}
+	return w
+}
+
+// foldSketches adds a clean write's blocks to clones of the touched group
+// sketches exactly as each replica added them to its own (DESIGN.md §14).
+// It reports false, and the caller pulls, when the write was spoilt or
+// not eligible, or the view moved on since the write began.
+func (c *Cluster) foldSketches(w *sketchWrite) bool {
+	if !w.fold || w.spoilt.Load() {
+		return false
+	}
+	touched := make(map[int]*sketch.Sketch)
+	for _, pl := range w.placed {
+		s := touched[pl.group]
+		if s == nil {
+			s = w.view[pl.group].Clone()
+			touched[pl.group] = s
+		}
+		s.Add(pl.content)
 	}
 	c.mu.Lock()
-	c.groupSketches = groupSketches
-	c.sketchComplete = sketchComplete
+	defer c.mu.Unlock()
+	if c.sketchGen != w.gen || c.topo != w.topo {
+		return false
+	}
+	next := maps.Clone(w.view)
+	maps.Copy(next, touched)
+	c.groupSketches = next
+	c.sketchGen++
+	return true
+}
+
+// invalidateSketches makes the next write pull instead of fold, and an
+// in-flight pull start over, after blocks reached nodes outside a clean
+// write.
+func (c *Cluster) invalidateSketches() {
+	c.mu.Lock()
+	c.sketchTopo = nil
+	c.sketchGen++
 	c.mu.Unlock()
-	c.reg.Counter("sketch_refreshes").Inc()
 }
 
 // GroupSketchComplete reports whether group g's merged sketch covers every

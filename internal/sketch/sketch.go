@@ -21,7 +21,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"mendel/internal/seq"
@@ -207,11 +209,15 @@ func (s *Sketch) MinHashes() []uint64 {
 	return s.mins.sorted()
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy: the Bloom words and the bottom-k heap are
+// copied as they are, so the clone marshals byte-identically.
 func (s *Sketch) Clone() *Sketch {
-	c := New(s.p)
-	c.Merge(s)
-	return c
+	c := *s
+	c.bloom = slices.Clone(s.bloom)
+	if s.mins != nil {
+		c.mins = &bottomK{k: s.mins.k, heap: slices.Clone(s.mins.heap), seen: maps.Clone(s.mins.seen)}
+	}
+	return &c
 }
 
 // marshalVersion tags the binary layout for forward evolution.
@@ -461,7 +467,7 @@ func (b *bottomK) add(h uint64) {
 }
 
 func (b *bottomK) sorted() []uint64 {
-	out := append([]uint64(nil), b.heap...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(b.heap)
+	slices.Sort(out)
 	return out
 }

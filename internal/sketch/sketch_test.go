@@ -226,6 +226,39 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCloneIndependentAndByteIdentical pins Clone's contract: the copy
+// marshals to the original's bytes, and adding to it leaves the original
+// untouched (the coordinator folds writes into clones while concurrent
+// searches read the originals).
+func TestCloneIndependentAndByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, p := range []Params{
+		testParams(),
+		{K: 11, BloomBits: 1 << 10, Kind: seq.DNA},
+		{K: 5, MinHashK: 32, Kind: seq.Protein},
+	} {
+		s := New(p)
+		s.Add(randProtein(rng, 400))
+		want, _ := s.MarshalBinary()
+		c := s.Clone()
+		got, _ := c.MarshalBinary()
+		if !bytes.Equal(want, got) {
+			t.Fatalf("params %+v: clone marshals differently", p)
+		}
+		extra := randProtein(rng, 400)
+		c.Add(extra)
+		if after, _ := s.MarshalBinary(); !bytes.Equal(want, after) {
+			t.Fatalf("params %+v: adding to the clone changed the original", p)
+		}
+		s.Add(extra)
+		direct, _ := s.MarshalBinary()
+		folded, _ := c.MarshalBinary()
+		if !bytes.Equal(direct, folded) {
+			t.Fatalf("params %+v: clone+add diverges from add", p)
+		}
+	}
+}
+
 func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	s := New(testParams())
 	s.Add([]byte("ARNDCQEGHILKMFPSTWYV"))

@@ -57,6 +57,10 @@ const (
 	tagPushSequencesAck       byte = 14
 	tagSketchFetch            byte = 15
 	tagSketchFetchResult      byte = 16
+	tagBuildIndex             byte = 17
+	tagBuildIndexAck          byte = 18
+	tagStoreSequences         byte = 19
+	tagStoreSequencesAck      byte = 20
 
 	// tagError marks a transport-level error response (a string, not a
 	// message); exported to transports via AppendErrorResponse/DecodeResponse.
@@ -70,7 +74,8 @@ func IsHot(msg any) bool {
 	case GroupSearch, GroupSearchResult, GroupSearchBatch, GroupSearchBatchResult,
 		LocalSearch, LocalSearchResult, IndexBlocks, IndexBlocksAck,
 		FetchRegion, Region, PushBlocks, PushBlocksAck,
-		PushSequences, PushSequencesAck, SketchFetch, SketchFetchResult:
+		PushSequences, PushSequencesAck, SketchFetch, SketchFetchResult,
+		BuildIndex, BuildIndexAck, StoreSequences, StoreSequencesAck:
 		return true
 	}
 	return false
@@ -132,11 +137,7 @@ func AppendHot(dst []byte, msg any) ([]byte, bool) {
 		for i := range m.Items {
 			dst = appendGroupSearchResult(dst, &m.Items[i])
 		}
-		dst = appendUvarint(dst, uint64(len(m.Errs)))
-		for _, e := range m.Errs {
-			dst = appendString(dst, e)
-		}
-		return dst, true
+		return appendSlice(dst, m.Errs, appendString), true
 	case LocalSearch:
 		dst = append(dst, tagLocalSearch)
 		dst = appendBytes(dst, m.Query)
@@ -179,11 +180,7 @@ func AppendHot(dst []byte, msg any) ([]byte, bool) {
 	case PushBlocks:
 		dst = append(dst, tagPushBlocks)
 		dst = appendString(dst, m.Target)
-		dst = appendUvarint(dst, uint64(len(m.Refs)))
-		for _, r := range m.Refs {
-			dst = appendUvarint(dst, r)
-		}
-		return dst, true
+		return appendSlice(dst, m.Refs, appendUvarint), true
 	case PushBlocksAck:
 		dst = append(dst, tagPushBlocksAck)
 		dst = appendInt(dst, m.Pushed)
@@ -191,11 +188,7 @@ func AppendHot(dst []byte, msg any) ([]byte, bool) {
 	case PushSequences:
 		dst = append(dst, tagPushSequences)
 		dst = appendString(dst, m.Target)
-		dst = appendUvarint(dst, uint64(len(m.IDs)))
-		for _, id := range m.IDs {
-			dst = appendUvarint(dst, uint64(id))
-		}
-		return dst, true
+		return appendSlice(dst, m.IDs, appendID), true
 	case PushSequencesAck:
 		dst = append(dst, tagPushSequencesAck)
 		dst = appendInt(dst, m.Pushed)
@@ -206,6 +199,18 @@ func AppendHot(dst []byte, msg any) ([]byte, bool) {
 		dst = append(dst, tagSketchFetchResult)
 		dst = appendString(dst, m.Node)
 		return appendBytes(dst, m.Sketch), true
+	case BuildIndex:
+		return append(dst, tagBuildIndex), true
+	case BuildIndexAck:
+		dst = append(dst, tagBuildIndexAck)
+		return appendInt(dst, m.Items), true
+	case StoreSequences:
+		dst = append(dst, tagStoreSequences)
+		dst = appendSlice(dst, m.IDs, appendID)
+		dst = appendSlice(dst, m.Names, appendString)
+		return appendSlice(dst, m.Data, appendBytes), true
+	case StoreSequencesAck:
+		return append(dst, tagStoreSequencesAck), true
 	}
 	return dst, false
 }
@@ -254,12 +259,7 @@ func decodeHot(r *reader) any {
 				m.Items[i] = decodeGroupSearchResult(r)
 			}
 		}
-		if n := r.count(1); n > 0 {
-			m.Errs = make([]string, n)
-			for i := range m.Errs {
-				m.Errs[i] = r.str()
-			}
-		}
+		m.Errs = readSlice(r, r.str)
 		return m
 	case tagLocalSearch:
 		return LocalSearch{
@@ -299,31 +299,31 @@ func decodeHot(r *reader) any {
 	case tagRegion:
 		return Region{Seq: seq.ID(r.uvarint()), Start: r.int(), Data: r.bytes(), Len: r.int()}
 	case tagPushBlocks:
-		m := PushBlocks{Target: r.str()}
-		if n := r.count(1); n > 0 {
-			m.Refs = make([]uint64, n)
-			for i := range m.Refs {
-				m.Refs[i] = r.uvarint()
-			}
-		}
-		return m
+		return PushBlocks{Target: r.str(), Refs: readSlice(r, r.uvarint)}
 	case tagPushBlocksAck:
 		return PushBlocksAck{Pushed: r.int(), Missing: r.int()}
 	case tagPushSequences:
-		m := PushSequences{Target: r.str()}
-		if n := r.count(1); n > 0 {
-			m.IDs = make([]seq.ID, n)
-			for i := range m.IDs {
-				m.IDs[i] = seq.ID(r.uvarint())
-			}
-		}
-		return m
+		return PushSequences{Target: r.str(), IDs: readSlice(r, r.id)}
 	case tagPushSequencesAck:
 		return PushSequencesAck{Pushed: r.int(), Missing: r.int()}
 	case tagSketchFetch:
 		return SketchFetch{}
 	case tagSketchFetchResult:
 		return SketchFetchResult{Node: r.str(), Sketch: r.bytes()}
+	case tagBuildIndex:
+		return BuildIndex{}
+	case tagBuildIndexAck:
+		return BuildIndexAck{Items: r.int()}
+	case tagStoreSequences:
+		// Data is copied, not viewed: the node's sequence store keeps it
+		// for good, and a view would pin the whole frame with it.
+		return StoreSequences{
+			IDs:   readSlice(r, r.id),
+			Names: readSlice(r, r.str),
+			Data:  readSlice(r, func() []byte { return bytes.Clone(r.bytes()) }),
+		}
+	case tagStoreSequencesAck:
+		return StoreSequencesAck{}
 	default:
 		r.failf("unknown message tag 0x%02x", tag)
 		return nil
@@ -524,6 +524,17 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+func appendID(dst []byte, id seq.ID) []byte { return binary.AppendUvarint(dst, uint64(id)) }
+
+// appendSlice appends a length-prefixed slice, one element at a time.
+func appendSlice[T any](dst []byte, vs []T, elem func([]byte, T) []byte) []byte {
+	dst = appendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = elem(dst, v)
+	}
+	return dst
+}
+
 func appendInts(dst []byte, vs []int) []byte {
 	dst = appendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
@@ -676,6 +687,22 @@ func (r *reader) ints() []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = r.int()
+	}
+	return out
+}
+
+func (r *reader) id() seq.ID { return seq.ID(r.uvarint()) }
+
+// readSlice reads an appendSlice encoding whose elements take at least one
+// byte each; an empty slice decodes as nil, like gob.
+func readSlice[T any](r *reader, elem func() T) []T {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = elem()
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mendel/internal/obs"
+	"mendel/internal/seq"
 )
 
 // hotSampleMessages filters sampleMessages down to the types the binary
@@ -31,6 +32,13 @@ func hotSampleMessages() []any {
 		Region{},
 		PushBlocks{},
 		PushSequences{},
+		BuildIndexAck{Items: -1},
+		StoreSequences{},
+		StoreSequences{
+			IDs:   []seq.ID{0, 1<<32 - 1},
+			Names: []string{"", "chr2 with spaces"},
+			Data:  [][]byte{{}, bytes.Repeat([]byte("MKV"), 100)},
+		},
 		LocalSearchResult{
 			Anchors: []Anchor{{Seq: 3, QStart: -5, QEnd: -1, SStart: -100, SEnd: -90, Score: -42}},
 			Spans: []obs.SpanSnapshot{{
@@ -211,6 +219,24 @@ func TestCodecZeroCopyAliasing(t *testing.T) {
 	}
 }
 
+// TestStoreSequencesDecodeCopies pins the one exception to zero-copy: a
+// node keeps StoreSequences data for good, so the decode must not alias
+// (and thereby pin) the frame.
+func TestStoreSequencesDecodeCopies(t *testing.T) {
+	in := StoreSequences{IDs: []seq.ID{9}, Names: []string{"s"}, Data: [][]byte{[]byte("MKVLATGG")}}
+	data, _ := AppendHot(nil, in)
+	out, err := DecodeHot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] ^= 0xFF
+	}
+	if got := out.(StoreSequences).Data[0]; !bytes.Equal(got, in.Data[0]) {
+		t.Fatalf("decoded Data aliases the input buffer: %q", got)
+	}
+}
+
 // TestCodecSizeReduction pins the acceptance criterion of the codec PR:
 // binary encodings of the query-path messages are at least 2x smaller than
 // their self-contained gob counterparts.
@@ -265,12 +291,18 @@ func TestMatrixInterning(t *testing.T) {
 }
 
 func TestIsHotAndCompressible(t *testing.T) {
-	for _, m := range []any{Ping{}, Bootstrap{}, Stats{}, Metrics{}, TraceFetch{}, BuildIndex{}, StoreSequences{}} {
+	for _, m := range []any{Ping{}, Bootstrap{}, Stats{}, Metrics{}, TraceFetch{}, UpdateTopology{}, BlockManifest{}} {
 		if IsHot(m) {
 			t.Errorf("%T reported hot", m)
 		}
 		if _, ok := AppendHot(nil, m); ok {
 			t.Errorf("%T unexpectedly binary-encoded", m)
+		}
+	}
+	// A steady-state write sends no gob frame: every message of it is hot.
+	for _, m := range []any{IndexBlocks{}, IndexBlocksAck{}, BuildIndex{}, BuildIndexAck{}, StoreSequences{}, StoreSequencesAck{}} {
+		if !IsHot(m) {
+			t.Errorf("write-path message %T reported cold", m)
 		}
 	}
 	if !Compressible(IndexBlocks{}) || !Compressible(PushBlocks{}) {

@@ -29,6 +29,8 @@ func sampleMessages() []any {
 			Context: []byte("TTACGTACGTACGTACGTAA"), CtxOff: 2,
 		}}},
 		IndexBlocksAck{Accepted: 1},
+		BuildIndex{},
+		BuildIndexAck{Items: 4096},
 		StoreSequences{IDs: []seq.ID{1}, Names: []string{"chr1"}, Data: [][]byte{[]byte("ACGT")}},
 		StoreSequencesAck{},
 		FetchRegion{Seq: 3, Start: 10, End: 90},
