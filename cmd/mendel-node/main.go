@@ -35,12 +35,9 @@ func main() {
 	flag.IntVar(&rc.MaxRetries, "rpc-retries", rc.MaxRetries, "retries per RPC on unreachable peers")
 	flag.IntVar(&rc.TripAfter, "breaker-trip", rc.TripAfter, "consecutive failures that trip a peer's circuit breaker (0 disables)")
 	flag.DurationVar(&rc.Cooldown, "breaker-cooldown", rc.Cooldown, "circuit breaker cooldown before a half-open probe")
-	var wc mendel.WireConfig
-	flag.StringVar(&wc.Codec, "rpc-codec", mendel.CodecBinary, "RPC wire codec: binary (negotiated, with transparent gob fallback against old peers) or gob (legacy framing)")
-	flag.BoolVar(&wc.Compress, "rpc-compress", false, "flate-compress block-transfer RPC frames sent to peers (binary codec only)")
 	flag.Parse()
 
-	srv, err := mendel.ServeNodeWire(*addr, rc, wc)
+	srv, err := mendel.ServeNodeResilient(*addr, rc)
 	if err != nil {
 		log.Fatalf("mendel-node: %v", err)
 	}

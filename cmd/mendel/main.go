@@ -89,16 +89,6 @@ func resilienceFlags(fs *flag.FlagSet) func() mendel.ResilienceConfig {
 	}
 }
 
-// wireFlags registers the RPC codec flags shared by every subcommand and
-// returns a function assembling the wire config after parsing.
-func wireFlags(fs *flag.FlagSet) func() mendel.WireConfig {
-	codec := fs.String("rpc-codec", mendel.CodecBinary, "RPC wire codec: binary (negotiated, with transparent gob fallback against old nodes) or gob (legacy framing)")
-	compress := fs.Bool("rpc-compress", false, "flate-compress block-transfer RPC frames (binary codec only)")
-	return func() mendel.WireConfig {
-		return mendel.WireConfig{Codec: *codec, Compress: *compress}
-	}
-}
-
 func cmdIndex(args []string) {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	nodeList := fs.String("nodes", "", "comma-separated storage node addresses (required)")
@@ -109,7 +99,6 @@ func cmdIndex(args []string) {
 	blockLen := fs.Int("block", 16, "inverted index block length w")
 	replicas := fs.Int("replicas", 1, "copies of each block and sequence within its group (>= 2 enables hinted handoff and repair to survive node loss)")
 	resilience := resilienceFlags(fs)
-	wire := wireFlags(fs)
 	fs.Parse(args)
 	if *nodeList == "" && !fileExists(*manifest) {
 		log.Fatal("mendel index: -nodes is required for a new cluster")
@@ -122,7 +111,7 @@ func cmdIndex(args []string) {
 	var cluster *mendel.Cluster
 	var rpc *mendel.ResilientCaller
 	if fileExists(*manifest) {
-		cluster, rpc = loadManifest(*manifest, resilience(), wire())
+		cluster, rpc = loadManifest(*manifest, resilience())
 	} else {
 		cfg := mendel.DefaultConfig(kind)
 		cfg.Groups = *groups
@@ -133,7 +122,7 @@ func cmdIndex(args []string) {
 		if err != nil {
 			log.Fatalf("mendel index: %v", err)
 		}
-		cluster, rpc, err = mendel.NewTCPClusterWire(cfg, groupLists, resilience(), wire())
+		cluster, rpc, err = mendel.NewTCPClusterResilient(cfg, groupLists, resilience())
 		if err != nil {
 			log.Fatalf("mendel index: %v", err)
 		}
@@ -196,10 +185,9 @@ func cmdQuery(args []string) {
 	traceSample := fs.Float64("trace-sample", 1, "fraction of queries traced cluster-wide (head-based sampling; 0 disables distributed tracing)")
 	logJSON := fs.Bool("log-json", false, "emit per-query structured JSON logs on stderr, stamped with the trace ID")
 	resilience := resilienceFlags(fs)
-	wire := wireFlags(fs)
 	fs.Parse(args)
 
-	cluster, rpc := loadManifest(*manifest, resilience(), wire())
+	cluster, rpc := loadManifest(*manifest, resilience())
 	pm, err := mendel.ParsePrefilterMode(*prefilter)
 	if err != nil {
 		log.Fatalf("mendel query: %v", err)
@@ -368,10 +356,9 @@ func cmdSimilarity(args []string) {
 	verify := fs.String("verify", "", "reference FASTA the cluster was indexed from; check every MinHash estimate against the exact k-mer Jaccard")
 	bound := fs.Float64("bound", 0.05, "max |estimate - exact| tolerated by -verify")
 	resilience := resilienceFlags(fs)
-	wire := wireFlags(fs)
 	fs.Parse(args)
 
-	cluster, _ := loadManifest(*manifest, resilience(), wire())
+	cluster, _ := loadManifest(*manifest, resilience())
 	kind := cluster.Config().Kind
 	queries := mendel.NewSet(kind)
 	switch {
@@ -496,10 +483,9 @@ func cmdExplain(args []string) {
 	matrixName := fs.String("matrix", "", "scoring matrix M (default by kind)")
 	jsonOut := fs.Bool("json", false, "print the assembled span tree as JSON instead of a table")
 	resilience := resilienceFlags(fs)
-	wire := wireFlags(fs)
 	fs.Parse(args)
 
-	cluster, rpc := loadManifest(*manifest, resilience(), wire())
+	cluster, rpc := loadManifest(*manifest, resilience())
 	reg := mendel.NewMetricsRegistry()
 	tracer := mendel.NewQueryTracer(0)
 	cluster.SetObservability(reg, tracer)
@@ -690,9 +676,8 @@ func cmdStats(args []string) {
 	showMetrics := fs.Bool("metrics", false, "also aggregate observability metrics cluster-wide")
 	watch := fs.Duration("watch", 0, "re-poll and re-render in place every interval (0 prints once); adds windowed qps/latency from the nodes' history rings")
 	resilience := resilienceFlags(fs)
-	wire := wireFlags(fs)
 	fs.Parse(args)
-	cluster, _ := loadManifest(*manifest, resilience(), wire())
+	cluster, _ := loadManifest(*manifest, resilience())
 	printStats(cluster, *showMetrics, *watch > 0)
 	if *watch <= 0 {
 		return
@@ -831,10 +816,9 @@ func cmdRepair(args []string) {
 	checkOnly := fs.Bool("check", false, "only probe and print node health, skip the repair pass")
 	jsonOut := fs.Bool("json", false, "print the health snapshot as JSON")
 	resilience := resilienceFlags(fs)
-	wire := wireFlags(fs)
 	fs.Parse(args)
 
-	cluster, rpc := loadManifest(*manifest, resilience(), wire())
+	cluster, rpc := loadManifest(*manifest, resilience())
 	ctx := context.Background()
 	hm := mendel.NewHealthMonitor(cluster, mendel.DefaultHealthConfig())
 	hm.ObserveBreakers(rpc)
@@ -897,10 +881,9 @@ func cmdServe(args []string) {
 	sloSlow := fs.Duration("slo-slow", 5*time.Minute, "SLO slow burn-rate window")
 	profileDir := fs.String("profile-dir", "", "directory for breach-triggered pprof CPU+heap profiles (empty disables capture)")
 	resilience := resilienceFlags(fs)
-	wire := wireFlags(fs)
 	fs.Parse(args)
 
-	cluster, rpc := loadManifest(*manifest, resilience(), wire())
+	cluster, rpc := loadManifest(*manifest, resilience())
 	pm, err := mendel.ParsePrefilterMode(*prefilter)
 	if err != nil {
 		log.Fatalf("mendel serve: %v", err)
@@ -978,13 +961,13 @@ func cmdServe(args []string) {
 	cluster.DisableFanOutCoalescing()
 }
 
-func loadManifest(path string, rc mendel.ResilienceConfig, wc mendel.WireConfig) (*mendel.Cluster, *mendel.ResilientCaller) {
+func loadManifest(path string, rc mendel.ResilienceConfig) (*mendel.Cluster, *mendel.ResilientCaller) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatalf("mendel: opening manifest: %v", err)
 	}
 	defer f.Close()
-	cluster, rpc, err := mendel.LoadManifestTCPWire(f, rc, wc)
+	cluster, rpc, err := mendel.LoadManifestTCPResilient(f, rc)
 	if err != nil {
 		log.Fatalf("mendel: loading manifest: %v", err)
 	}

@@ -34,7 +34,6 @@ func cmdTop(args []string) {
 	window := fs.Duration("window", 30*time.Second, "trailing window for rates and quantiles")
 	once := fs.Bool("once", false, "render one frame and exit (no screen clearing)")
 	resilience := resilienceFlags(fs)
-	wire := wireFlags(fs)
 	fs.Parse(args)
 	if (*url == "") == (*manifest == "") {
 		log.Fatal("mendel top: provide exactly one of -url or -manifest")
@@ -47,7 +46,7 @@ func cmdTop(args []string) {
 			return fetchTopHTTP(base, *window)
 		}
 	} else {
-		cluster, _ := loadManifest(*manifest, resilience(), wire())
+		cluster, _ := loadManifest(*manifest, resilience())
 		ctx := context.Background()
 		fetch = func() (mendel.ClusterMetricsHistory, *mendel.SLOStatus, error) {
 			results, down, err := cluster.HistoryDetailed(ctx, *window)

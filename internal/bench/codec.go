@@ -77,9 +77,8 @@ func codecABMessages() []struct {
 }
 
 // RunCodecAB measures every hot message type under both codecs: the
-// self-contained gob envelope the transport used before (and still uses as
-// its compatibility fallback) against the hand-rolled binary codec on the
-// negotiated fast path.
+// self-contained gob envelope (what cold messages still travel as) against
+// the hand-rolled binary codec the transport uses for hot ones.
 func RunCodecAB() (*CodecABResult, error) {
 	res := &CodecABResult{GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, m := range codecABMessages() {

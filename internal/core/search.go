@@ -638,19 +638,17 @@ func dedupHits(hits []Hit) []Hit {
 	return out
 }
 
-// wireSize measures a message's on-the-wire size for span attributes: the
-// binary codec for hot messages (what the TCP transport actually sends),
-// gob for anything else. Scratch comes from the codec's frame pool so a
-// sampled query does not allocate for the measurement.
+// wireSize measures a message's on-the-wire size for span attributes with
+// the encoding the TCP transport sends (wire.AppendMessage). Scratch comes
+// from the codec's frame pool so a sampled query does not allocate for the
+// measurement.
 func wireSize(msg any) int64 {
 	fp := wire.GetFrame()
 	defer wire.PutFrame(fp)
-	if b, ok := wire.AppendHot(*fp, msg); ok {
-		*fp = b
-		return int64(len(b))
+	b, err := wire.AppendMessage(*fp, msg)
+	*fp = b
+	if err != nil {
+		return 0
 	}
-	if b, err := wire.Marshal(msg); err == nil {
-		return int64(len(b))
-	}
-	return 0
+	return int64(len(b))
 }

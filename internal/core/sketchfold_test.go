@@ -15,23 +15,30 @@ import (
 )
 
 // tapCaller wraps the coordinator's caller, counting the SketchFetch calls
-// and the gob-encoded frames (a request or reply without a binary codec)
-// a write sends. hold, when set, runs after a SketchFetch has been answered
-// and before its reply is handed back.
+// and the cold frames (a request or reply the transports encode as a gob
+// envelope) a write sends. hold, when set, runs after a SketchFetch has been
+// answered and before its reply is handed back.
 type tapCaller struct {
 	inner       transport.Caller
 	sketchFetch atomic.Int64
-	gobFrames   atomic.Int64
+	coldFrames  atomic.Int64
 	hold        func()
 }
 
+// isCold reports whether the transports put msg on the wire as a cold gob
+// envelope, judged by the encoding function they call.
+func isCold(msg any) bool {
+	b, err := wire.AppendMessage(nil, msg)
+	return err == nil && b[0] == wire.ColdTag
+}
+
 func (t *tapCaller) Call(ctx context.Context, addr string, req any) (any, error) {
-	if !wire.IsHot(req) {
-		t.gobFrames.Add(1)
+	if isCold(req) {
+		t.coldFrames.Add(1)
 	}
 	resp, err := t.inner.Call(ctx, addr, req)
-	if err == nil && !wire.IsHot(resp) {
-		t.gobFrames.Add(1)
+	if err == nil && isCold(resp) {
+		t.coldFrames.Add(1)
 	}
 	if _, ok := req.(wire.SketchFetch); ok {
 		t.sketchFetch.Add(1)
@@ -44,7 +51,7 @@ func (t *tapCaller) Call(ctx context.Context, addr string, req any) (any, error)
 
 func (t *tapCaller) reset() {
 	t.sketchFetch.Store(0)
-	t.gobFrames.Store(0)
+	t.coldFrames.Store(0)
 }
 
 // tap installs a tapCaller in front of the cluster's coordinator caller.
@@ -197,7 +204,7 @@ func TestSketchFoldDisabledSketching(t *testing.T) {
 }
 
 // TestWriteTraffic pins which RPCs a steady-state single-sequence write
-// costs: no sketch pull and no gob frame in either direction.
+// costs: no sketch pull and no cold (gob) frame in either direction.
 func TestWriteTraffic(t *testing.T) {
 	ip := newTestCluster(t, 9, 3)
 	ctx := context.Background()
@@ -212,8 +219,8 @@ func TestWriteTraffic(t *testing.T) {
 	if got := tc.sketchFetch.Load(); got != 0 {
 		t.Errorf("single-sequence write sent %d SketchFetch", got)
 	}
-	if got := tc.gobFrames.Load(); got != 0 {
-		t.Errorf("single-sequence write sent %d gob-encoded frames", got)
+	if got := tc.coldFrames.Load(); got != 0 {
+		t.Errorf("single-sequence write sent %d cold (gob) frames", got)
 	}
 }
 

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"math/rand"
 	"sync"
 	"time"
@@ -38,8 +36,8 @@ type chaosState struct {
 
 // MemNetwork is an in-process transport: nodes register handlers under
 // string addresses and calls are direct function invocations, optionally
-// delayed by a latency model and optionally round-tripped through gob to
-// guarantee anything that works in-memory also works over TCP.
+// delayed by a latency model and optionally round-tripped through the wire
+// encoding to guarantee anything that works in-memory also works over TCP.
 type MemNetwork struct {
 	mu         sync.RWMutex
 	handlers   map[string]Handler
@@ -61,9 +59,9 @@ func WithLatency(l LatencyModel) MemOption {
 }
 
 // WithEncodeCheck makes every call serialize its request and response
-// through the same codecs the TCP transport would pick — the binary codec
-// for hot messages, gob otherwise — so encoding bugs surface in in-process
-// tests (chaos suites included) without a real network.
+// through the encoding the TCP transport sends (wire.AppendMessage), so
+// encoding bugs surface in in-process tests (chaos suites included) without
+// a real network.
 func WithEncodeCheck() MemOption {
 	return func(n *MemNetwork) { n.encode = true }
 }
@@ -209,7 +207,7 @@ func (n *MemNetwork) Call(ctx context.Context, addr string, req any) (any, error
 // checks first, then loss, then latency, then delivery. The caller's ctx
 // reaches the handler directly, so a trace context attached with
 // obs.ContextWithTrace propagates implicitly — the in-memory counterpart of
-// the TCP transport's explicit envelope field.
+// the trace context the TCP transport writes ahead of every request.
 func (n *MemNetwork) call(ctx context.Context, src, addr string, req any) (any, error) {
 	n.mu.Lock()
 	h, ok := n.handlers[addr]
@@ -273,34 +271,15 @@ func (n *MemNetwork) call(ctx context.Context, src, addr string, req any) (any, 
 	return resp, nil
 }
 
-// rtBufPool recycles the encode-check scratch buffers: with WithEncodeCheck
-// every in-memory RPC round-trips through gob twice, and a fresh
-// bytes.Buffer per message was pure garbage on the query fan-out path.
-var rtBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// codecRoundTrip serializes v the way the TCP transport would: hot messages
-// through the binary codec, everything else through gob. The binary decode
-// buffer is deliberately NOT pooled — decoded messages hold zero-copy views
-// into it, mirroring the real receive path's retention semantics so any
-// buffer-reuse bug shows up in memory-transport tests too.
+// codecRoundTrip serializes v exactly as the TCP transport puts a message
+// on the wire (wire.AppendMessage) and decodes it back. The decode buffer is
+// deliberately not pooled — decoded messages hold zero-copy views into it,
+// mirroring the real receive path's retention semantics so any buffer-reuse
+// bug shows up in memory-transport tests too.
 func codecRoundTrip(v any) (any, error) {
-	if data, ok := wire.AppendHot(nil, v); ok {
-		return wire.DecodeHot(data)
-	}
-	return gobRoundTrip(v)
-}
-
-func gobRoundTrip(v any) (any, error) {
-	buf := rtBufPool.Get().(*bytes.Buffer)
-	defer rtBufPool.Put(buf)
-	buf.Reset()
-	box := struct{ V any }{v}
-	if err := gob.NewEncoder(buf).Encode(&box); err != nil {
+	data, err := wire.AppendMessage(nil, v)
+	if err != nil {
 		return nil, err
 	}
-	var out struct{ V any }
-	if err := gob.NewDecoder(buf).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.V, nil
+	return wire.DecodeMessage(data)
 }

@@ -2,11 +2,8 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,114 +15,38 @@ import (
 	"mendel/internal/wire"
 )
 
-// The TCP protocol speaks two framings on one connection, negotiated by the
-// first request/response exchange:
-//
-//   - Legacy gob: a persistent gob encoder/decoder pair per connection
-//     carrying reqEnvelope/respEnvelope. Every connection starts here, and
-//     connections to or from peers built before the binary codec stay here
-//     forever — gob ignores unknown struct fields, so the negotiation byte
-//     is invisible to old binaries.
-//   - Binary frames: after a client advertising Wire >= 1 receives a
-//     response echoing Wire >= 1, both sides switch the connection to
-//     length-prefixed frames ([flags byte][uvarint length][payload]). Hot
-//     messages use the wire package's hand-rolled binary codec; cold
-//     messages ride as self-contained gob payloads inside a frame (flags
-//     codec bit clear). Block-transfer frames may be flate-compressed
-//     (flags compression bit), decoded unconditionally, produced only when
-//     the sender enables compression.
-//
-// Negotiation is in lockstep: the server switches right after writing the
-// gob response that echoes Wire, the client right after reading it, and the
-// strict request/response discipline means no other bytes are in flight
-// during the switch. Both sides read through one bufio.Reader shared
-// between the gob decoder and the frame reader, so any read-ahead survives
-// the mode change.
-type reqEnvelope struct {
-	V  any
-	TC obs.TraceContext
-	// Wire advertises the sender's protocol version (wireVersion) for
-	// codec negotiation; 0 — the value old binaries implicitly send —
-	// means gob-only.
-	Wire byte
-}
-
-type respEnvelope struct {
-	V   any
-	Err string
-	// Wire echoes a supported protocol version back to an advertising
-	// client; 0 declines the upgrade.
-	Wire byte
-}
-
-// wireVersion is the protocol version advertised and echoed in envelope
-// negotiation. Version 1 adds binary framing with per-message codec
-// dispatch.
-const wireVersion = 1
-
-// Frame flag bits and limits.
+// The TCP protocol is one length-prefixed request/response framing,
+// [uvarint length][payload], spoken from a connection's first byte. A request
+// payload is wire.AppendRequest (trace context, then the message); a response
+// payload is wire.AppendMessage or wire.AppendErrorResponse. How each message
+// is encoded is the wire package's business alone. A connection carries one
+// exchange at a time and is pooled per address between calls.
 const (
-	// frameBinary marks a payload encoded with the wire binary codec;
-	// clear means a self-contained gob envelope payload.
-	frameBinary byte = 1 << 0
-	// frameCompressed marks a flate-compressed payload.
-	frameCompressed byte = 1 << 1
+	// maxFrameHeader is the widest possible frame header (a uvarint length).
+	// Frame builders reserve this much padding up front so header and
+	// payload go out in a single Write.
+	maxFrameHeader = binary.MaxVarintLen64
 
-	// maxFrameHeader is the widest possible frame header: flags plus a
-	// uvarint length. Frame builders reserve this much padding up front so
-	// header and payload go out in a single Write.
-	maxFrameHeader = 1 + binary.MaxVarintLen64
-
-	// maxFramePayload bounds a frame (and its decompressed form) so a
-	// corrupt or adversarial length prefix cannot force a huge allocation.
+	// maxFramePayload bounds a frame so a corrupt or adversarial length
+	// prefix is rejected outright.
 	maxFramePayload = 1 << 30
 
-	// compressMin is the smallest payload worth deflating.
-	compressMin = 512
+	// frameChunk is readFrame's first allocation for a payload; the buffer
+	// then doubles only as bytes arrive, so a length prefix alone cannot
+	// make the receiver allocate more than this.
+	frameChunk = 1 << 20
 )
-
-// Codec names accepted by WireConfig.
-const (
-	CodecBinary = "binary"
-	CodecGob    = "gob"
-)
-
-// WireConfig selects a peer's codec behaviour; the zero value means the
-// negotiated binary codec with no compression — the default everywhere.
-type WireConfig struct {
-	// Codec is "binary" (or empty) for negotiated binary framing with
-	// transparent gob fallback against old peers, or "gob" to pin the
-	// legacy framing (what a pre-codec binary speaks).
-	Codec string
-	// Compress enables flate compression of outgoing block-transfer
-	// request frames (wire.Compressible messages) on binary connections.
-	// Decompression is always supported, so only the sending side needs
-	// the flag.
-	Compress bool
-}
-
-// forceGob reports whether the config pins the legacy framing.
-func (wc WireConfig) forceGob() (bool, error) {
-	switch wc.Codec {
-	case "", CodecBinary:
-		return false, nil
-	case CodecGob:
-		return true, nil
-	}
-	return false, fmt.Errorf("transport: unknown codec %q (want %q or %q)", wc.Codec, CodecBinary, CodecGob)
-}
 
 // TCPServer serves a node's handler over a TCP listener.
 type TCPServer struct {
 	ln net.Listener
 
-	mu       sync.Mutex
-	handler  Handler
-	reg      *obs.Registry
-	conns    map[net.Conn]bool
-	closed   bool
-	forceGob bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	handler Handler
+	reg     *obs.Registry
+	conns   map[net.Conn]bool
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 // Observe attaches a metrics registry: connections accepted afterwards
@@ -134,22 +55,6 @@ func (s *TCPServer) Observe(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reg = reg
-}
-
-// SetWire configures the server's codec behaviour. CodecGob makes the
-// server behave like a pre-codec binary (never echo the negotiation byte),
-// which the mixed-version compatibility tests use as a stand-in for an old
-// deployment. Applies to connections whose first request arrives
-// afterwards.
-func (s *TCPServer) SetWire(wc WireConfig) error {
-	fg, err := wc.forceGob()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.forceGob = fg
-	return nil
 }
 
 // SetHandler installs or replaces the request handler. It exists so a node
@@ -231,37 +136,17 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		rw = &countingConn{Conn: conn,
 			sent: reg.Counter("server_bytes_sent"), recv: reg.Counter("server_bytes_recv")}
 	}
-	// One buffered reader feeds both framings, so bytes buffered ahead by
-	// the gob decoder are not lost when the connection upgrades.
 	br := bufio.NewReader(rw)
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(rw)
-	binMode := false
 	for {
-		var reqV any
-		var reqTC obs.TraceContext
-		upgrade := false
-		if binMode {
-			flags, payload, err := readFrame(br)
-			if err != nil {
-				return
-			}
-			reqTC, reqV, err = decodeFrameRequest(flags, payload)
-			if err != nil {
-				// Protocol corruption past negotiation: drop the
-				// connection rather than answer garbage.
-				return
-			}
-		} else {
-			var req reqEnvelope
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			reqV, reqTC = req.V, req.TC
-			s.mu.Lock()
-			fg := s.forceGob
-			s.mu.Unlock()
-			upgrade = req.Wire >= wireVersion && !fg
+		payload, err := readFrame(br)
+		if err != nil {
+			return
+		}
+		reqTC, reqV, err := wire.DecodeRequest(payload)
+		if err != nil {
+			// A frame that does not decode means the peer is not speaking
+			// this protocol: drop the connection rather than answer garbage.
+			return
 		}
 		s.mu.Lock()
 		h := s.handler
@@ -271,12 +156,10 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		start := time.Now()
 		if h == nil {
 			errStr = "transport: server has no handler installed"
+		} else if resp, err := safeHandle(h, reqTC, reqV); err != nil {
+			errStr = err.Error()
 		} else {
-			resp, err := safeHandle(h, reqTC, reqV)
 			respV = resp
-			if err != nil {
-				respV, errStr = nil, err.Error()
-			}
 		}
 		if reg != nil {
 			reg.Counter("server_requests").Inc()
@@ -286,24 +169,8 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 				reg.Counter("server_errors").Inc()
 			}
 		}
-		if binMode {
-			if err := writeFrameResponse(rw, respV, errStr); err != nil {
-				return
-			}
-		} else {
-			env := respEnvelope{V: respV, Err: errStr}
-			if upgrade {
-				env.Wire = wireVersion
-			}
-			if err := enc.Encode(&env); err != nil {
-				return
-			}
-			if upgrade {
-				binMode = true
-				if reg != nil {
-					reg.Counter("server_conns_binary").Inc()
-				}
-			}
+		if err := writeResponse(rw, respV, errStr); err != nil {
+			return
 		}
 	}
 }
@@ -311,7 +178,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 // safeHandle invokes the handler, converting a panic into an error so one
 // poisoned request surfaces as a RemoteError on the client instead of
 // killing the connection goroutine (and, unrecovered, the whole node). A
-// valid trace context from the request envelope is re-injected into the
+// valid trace context from the request payload is re-injected into the
 // handler's context, completing server-side trace extraction.
 func safeHandle(h Handler, tc obs.TraceContext, req any) (resp any, err error) {
 	defer func() {
@@ -331,11 +198,9 @@ type TCPClient struct {
 	dialTimeout time.Duration
 	poolSize    int
 
-	mu       sync.Mutex
-	reg      *obs.Registry
-	pools    map[string]chan *tcpConn
-	forceGob bool
-	compress bool
+	mu    sync.Mutex
+	reg   *obs.Registry
+	pools map[string]chan *tcpConn
 }
 
 // Observe attaches a metrics registry: connections dialed afterwards count
@@ -345,44 +210,15 @@ type TCPClient struct {
 func (c *TCPClient) Observe(reg *obs.Registry) {
 	c.mu.Lock()
 	c.reg = reg
-	pools := c.pools
-	c.pools = make(map[string]chan *tcpConn)
 	c.mu.Unlock()
-	drainPools(pools)
+	c.dropPooled()
 }
 
-// SetWire configures the client's codec behaviour. CodecGob makes the
-// client behave like a pre-codec binary (never advertise the negotiation
-// byte); Compress deflates outgoing block-transfer frames on binary
-// connections. Existing pooled connections are dropped so the setting
-// applies uniformly.
-func (c *TCPClient) SetWire(wc WireConfig) error {
-	fg, err := wc.forceGob()
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.forceGob = fg
-	c.compress = wc.Compress
-	pools := c.pools
-	c.pools = make(map[string]chan *tcpConn)
-	c.mu.Unlock()
-	drainPools(pools)
-	return nil
-}
-
-// tcpConn is one pooled connection and its negotiated framing state.
+// tcpConn is one pooled connection.
 type tcpConn struct {
 	c  net.Conn
-	w  io.Writer     // conn, byte-counting when a registry is attached
-	br *bufio.Reader // shared by the gob decoder and the frame reader
-	// enc/dec are the legacy persistent gob pair; unused once bin is set.
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// negotiated is set after the first exchange; bin after a successful
-	// upgrade to binary framing.
-	negotiated bool
-	bin        bool
+	w  io.Writer // conn, byte-counting when a registry is attached
+	br *bufio.Reader
 }
 
 // NewTCPClient creates a client keeping up to poolSize idle connections per
@@ -429,8 +265,7 @@ func (c *TCPClient) get(ctx context.Context, addr string) (tc *tcpConn, pooled b
 		rw = &countingConn{Conn: conn,
 			sent: reg.Counter("rpc_bytes_sent"), recv: reg.Counter("rpc_bytes_recv")}
 	}
-	br := bufio.NewReader(rw)
-	return &tcpConn{c: conn, w: rw, br: br, enc: gob.NewEncoder(rw), dec: gob.NewDecoder(br)}, false, nil
+	return &tcpConn{c: conn, w: rw, br: bufio.NewReader(rw)}, false, nil
 }
 
 func (c *TCPClient) put(addr string, tc *tcpConn) {
@@ -452,9 +287,14 @@ func (c *TCPClient) put(addr string, tc *tcpConn) {
 // connection is safe. A freshly dialed connection's failure is final.
 func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error) {
 	trace, _ := obs.TraceFromContext(ctx)
-	c.mu.Lock()
-	forceGob, compress, reg := c.forceGob, c.compress, c.reg
-	c.mu.Unlock()
+	fp := wire.GetFrame()
+	defer wire.PutFrame(fp)
+	buf, err := wire.AppendRequest(append((*fp)[:0], framePad...), trace, req)
+	if err != nil {
+		return nil, fmt.Errorf("transport: encoding request: %w", err)
+	}
+	*fp = buf
+	frame := buildFrame(buf)
 	for {
 		tc, pooled, err := c.get(ctx, addr)
 		if err != nil {
@@ -466,35 +306,15 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 			tc.c.SetDeadline(time.Time{})
 		}
 		retriable := pooled && ctx.Err() == nil
-		var resp respEnvelope
-		var sendErr, recvErr error
-		if tc.bin {
-			resp, sendErr, recvErr = callBinary(tc, trace, req, compress)
-		} else {
-			env := reqEnvelope{V: req, TC: trace}
-			if !forceGob && !tc.negotiated {
-				env.Wire = wireVersion
-			}
-			if sendErr = tc.enc.Encode(&env); sendErr == nil {
-				if recvErr = tc.dec.Decode(&resp); recvErr == nil && !tc.negotiated {
-					tc.negotiated = true
-					if env.Wire >= wireVersion && resp.Wire >= wireVersion {
-						tc.bin = true
-						if reg != nil {
-							reg.Counter("rpc_conns_binary").Inc()
-						}
-					}
-				}
-			}
-		}
-		if sendErr != nil {
+		if _, err := tc.w.Write(frame); err != nil {
 			tc.c.Close()
 			if retriable {
 				continue
 			}
-			return nil, fmt.Errorf("%w: send: %v", ErrUnreachable, sendErr)
+			return nil, fmt.Errorf("%w: send: %v", ErrUnreachable, err)
 		}
-		if recvErr != nil {
+		resp, errMsg, err := readResponse(tc.br)
+		if err != nil {
 			tc.c.Close()
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
@@ -502,86 +322,42 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 			if retriable {
 				continue
 			}
-			return nil, fmt.Errorf("%w: recv: %v", ErrUnreachable, recvErr)
+			return nil, fmt.Errorf("%w: recv: %v", ErrUnreachable, err)
 		}
 		c.put(addr, tc)
-		if resp.Err != "" {
-			return nil, &RemoteError{Addr: addr, Msg: resp.Err}
+		if errMsg != "" {
+			return nil, &RemoteError{Addr: addr, Msg: errMsg}
 		}
-		return resp.V, nil
+		return resp, nil
 	}
 }
 
-// callBinary performs one framed exchange on an upgraded connection.
-func callBinary(tc *tcpConn, trace obs.TraceContext, req any, compress bool) (resp respEnvelope, sendErr, recvErr error) {
-	fp := wire.GetFrame()
-	defer func() { wire.PutFrame(fp) }()
-	buf := append((*fp)[:0], framePad...)
-	flags := byte(0)
-	if b, ok := wire.AppendRequest(buf, trace, req); ok {
-		buf, flags = b, frameBinary
-	} else {
-		// Cold request: self-contained gob envelope inside the frame.
-		b, err := gobEnvelopePayload(buf, &reqEnvelope{V: req, TC: trace})
-		if err != nil {
-			return resp, err, nil
-		}
-		buf = b
-	}
-	if flags&frameBinary != 0 && compress && wire.Compressible(req) && len(buf)-maxFrameHeader >= compressMin {
-		b, err := compressPayload(buf)
-		if err == nil && len(b) < len(buf) {
-			buf, flags = b, flags|frameCompressed
-		}
-	}
-	*fp = buf
-	if _, sendErr = tc.w.Write(buildFrame(buf, flags)); sendErr != nil {
-		return resp, sendErr, nil
-	}
-	rflags, payload, err := readFrame(tc.br)
+// readResponse reads one response frame and decodes it into a message or a
+// remote error string.
+func readResponse(br *bufio.Reader) (any, string, error) {
+	payload, err := readFrame(br)
 	if err != nil {
-		return resp, nil, err
+		return nil, "", err
 	}
-	if payload, err = maybeInflate(rflags, payload); err != nil {
-		return resp, nil, err
-	}
-	if rflags&frameBinary != 0 {
-		msg, errMsg, err := wire.DecodeResponse(payload)
-		if err != nil {
-			return resp, nil, err
-		}
-		resp = respEnvelope{V: msg, Err: errMsg}
-		return resp, nil, nil
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-		return resp, nil, err
-	}
-	return resp, nil, nil
+	return wire.DecodeResponse(payload)
 }
 
-// writeFrameResponse encodes and writes one server-side response frame:
-// binary for hot messages and errors, an embedded gob envelope otherwise.
-func writeFrameResponse(w io.Writer, respV any, errStr string) error {
+// writeResponse encodes and writes one response frame: the handler's error
+// if it failed, its message otherwise.
+func writeResponse(w io.Writer, respV any, errStr string) error {
 	fp := wire.GetFrame()
-	defer func() { wire.PutFrame(fp) }()
+	defer wire.PutFrame(fp)
 	buf := append((*fp)[:0], framePad...)
-	flags := byte(0)
-	switch {
-	case errStr != "":
-		buf, flags = wire.AppendErrorResponse(buf, errStr), frameBinary
-	default:
-		if b, ok := wire.AppendResponse(buf, respV); ok {
-			buf, flags = b, frameBinary
-		} else {
-			b, err := gobEnvelopePayload(buf, &respEnvelope{V: respV})
-			if err != nil {
-				return err
-			}
-			buf = b
+	if errStr != "" {
+		buf = wire.AppendErrorResponse(buf, errStr)
+	} else {
+		var err error
+		if buf, err = wire.AppendMessage(buf, respV); err != nil {
+			return err
 		}
 	}
 	*fp = buf
-	_, err := w.Write(buildFrame(buf, flags))
+	_, err := w.Write(buildFrame(buf))
 	return err
 }
 
@@ -591,12 +367,10 @@ func writeFrameResponse(w io.Writer, respV any, errStr string) error {
 var framePad = make([]byte, maxFrameHeader)
 
 // buildFrame finalizes a buffer whose payload was built after framePad,
-// returning the [flags][uvarint length][payload] wire image.
-func buildFrame(buf []byte, flags byte) []byte {
-	payloadLen := len(buf) - maxFrameHeader
+// returning the [uvarint length][payload] wire image.
+func buildFrame(buf []byte) []byte {
 	var hdr [maxFrameHeader]byte
-	hdr[0] = flags
-	n := 1 + binary.PutUvarint(hdr[1:], uint64(payloadLen))
+	n := binary.PutUvarint(hdr[:], uint64(len(buf)-maxFrameHeader))
 	start := maxFrameHeader - n
 	copy(buf[start:], hdr[:n])
 	return buf[start:]
@@ -605,136 +379,61 @@ func buildFrame(buf []byte, flags byte) []byte {
 // readFrame reads one frame, allocating a fresh payload buffer: decoded
 // messages hold zero-copy views into it and may be retained indefinitely
 // (stored blocks, cached regions), so received frames are never pooled.
-func readFrame(br *bufio.Reader) (flags byte, payload []byte, err error) {
-	flags, err = br.ReadByte()
-	if err != nil {
-		return 0, nil, err
-	}
+// The buffer grows with the bytes actually received — frameChunk first,
+// then doubling — so a peer that announces a large frame and stalls costs
+// at most frameChunk, not the announced length.
+func readFrame(br *bufio.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, err
-	}
-	return flags, payload, nil
-}
-
-// decodeFrameRequest turns a request frame payload into its trace context
-// and message.
-func decodeFrameRequest(flags byte, payload []byte) (obs.TraceContext, any, error) {
-	payload, err := maybeInflate(flags, payload)
-	if err != nil {
-		return obs.TraceContext{}, nil, err
-	}
-	if flags&frameBinary != 0 {
-		return wire.DecodeRequest(payload)
-	}
-	var req reqEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
-		return obs.TraceContext{}, nil, err
-	}
-	return req.TC, req.V, nil
-}
-
-// gobEnvelopePayload appends a self-contained gob encoding of env to dst —
-// the cold-message path, where per-message type preambles cost nothing that
-// matters.
-func gobEnvelopePayload[T any](dst []byte, env *T) ([]byte, error) {
-	buf := wire.BufPool.Get().(*bytes.Buffer)
-	defer wire.BufPool.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(env); err != nil {
-		return dst, err
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-// flateWriterPool recycles flate writers, which are expensive to construct.
-var flateWriterPool = sync.Pool{New: func() any {
-	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return w
-}}
-
-// compressPayload deflates the payload of a padded frame buffer, returning
-// a new padded buffer; the caller keeps the original on any error or when
-// compression does not pay.
-func compressPayload(buf []byte) ([]byte, error) {
-	bb := wire.BufPool.Get().(*bytes.Buffer)
-	defer wire.BufPool.Put(bb)
-	bb.Reset()
-	fw := flateWriterPool.Get().(*flate.Writer)
-	defer flateWriterPool.Put(fw)
-	fw.Reset(bb)
-	if _, err := fw.Write(buf[maxFrameHeader:]); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, maxFrameHeader+bb.Len())
-	out = append(out, framePad...)
-	return append(out, bb.Bytes()...), nil
-}
-
-// maybeInflate decompresses a compressed frame payload, bounding the
-// decompressed size the same way readFrame bounds the raw size.
-func maybeInflate(flags byte, payload []byte) ([]byte, error) {
-	if flags&frameCompressed == 0 {
-		return payload, nil
-	}
-	fr := flate.NewReader(bytes.NewReader(payload))
-	defer fr.Close()
-	out, err := io.ReadAll(io.LimitReader(fr, maxFramePayload+1))
-	if err != nil {
-		return nil, fmt.Errorf("transport: inflating frame: %w", err)
-	}
-	if len(out) > maxFramePayload {
-		return nil, fmt.Errorf("transport: decompressed frame exceeds %d bytes", maxFramePayload)
-	}
-	return out, nil
-}
-
-// drainPools closes every pooled connection.
-func drainPools(pools map[string]chan *tcpConn) {
-	for _, p := range pools {
-		for {
-			select {
-			case tc := <-p:
-				tc.c.Close()
-				continue
-			default:
-			}
-			break
+	payload := make([]byte, min(n, frameChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(br, payload[got:])
+		got += k
+		if err != nil {
+			return nil, err
 		}
+		if uint64(got) == n {
+			return payload, nil
+		}
+		grown := make([]byte, min(n, 2*uint64(got)))
+		copy(grown, payload)
+		payload = grown
 	}
 }
 
 // Close drops all pooled connections.
 func (c *TCPClient) Close() error {
+	if err := c.dropPooled(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
+}
+
+// dropPooled swaps in empty pools and closes every connection the old ones
+// held, returning the first close error.
+func (c *TCPClient) dropPooled() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	var firstErr error
-	for _, p := range c.pools {
+	pools := c.pools
+	c.pools = make(map[string]chan *tcpConn)
+	c.mu.Unlock()
+	var first error
+	for _, p := range pools {
+	drain:
 		for {
 			select {
 			case tc := <-p:
-				if err := tc.c.Close(); err != nil && firstErr == nil {
-					firstErr = err
+				if err := tc.c.Close(); err != nil && first == nil {
+					first = err
 				}
-				continue
 			default:
+				break drain
 			}
-			break
 		}
 	}
-	c.pools = make(map[string]chan *tcpConn)
-	if firstErr != nil && !errors.Is(firstErr, net.ErrClosed) {
-		return firstErr
-	}
-	return nil
+	return first
 }

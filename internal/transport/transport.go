@@ -3,10 +3,8 @@
 // network that wires nodes together inside a single process (with optional
 // simulated latency and failure injection, standing in for the paper's LAN
 // testbed), and a TCP transport for real multi-process deployments that
-// negotiates per-connection framing — length-prefixed binary frames using
-// the wire package's hand-rolled codec for hot messages, with a transparent
-// gob fallback for cold messages and for peers built before the binary
-// codec existed.
+// carries wire-encoded messages in length-prefixed frames over pooled
+// connections.
 package transport
 
 import (

@@ -13,10 +13,13 @@
 // scratch (GetFrame/PutFrame).
 //
 // Cold and rare messages (Bootstrap, Metrics, Stats, TraceFetch, topology
-// updates) intentionally stay on gob: their cost is irrelevant and gob's
-// field-name matching gives free cross-version tolerance. AppendHot
-// reports whether a message has a binary encoding so transports can
-// dispatch per message.
+// updates) stay on gob: their cost is irrelevant, and gob already handles
+// their nested maps, times and recursive span trees. AppendMessage is the
+// one place a message's encoding is chosen — the binary body for hot
+// types, ColdTag plus a self-contained Marshal envelope for the rest — and
+// DecodeMessage is its inverse. The TCP transport, the in-memory encode
+// check and span byte accounting all call this pair, so what is tested in
+// process is byte for byte what a socket carries.
 //
 // Wire-format equivalence with gob is pinned by TestCodecGobEquivalence
 // and the FuzzCodecEquivalence differential fuzz target: a binary
@@ -36,8 +39,9 @@ import (
 	"mendel/internal/seq"
 )
 
-// Message type tags. Tag 0 is reserved (never emitted) and 0xFF is the
-// transports' error-response tag, so neither can collide with a message.
+// Message type tags. Tag 0 is reserved (never emitted), and ColdTag and
+// tagError open the two encodings that are not a hot message body, so none
+// of them can collide with a message.
 const (
 	tagInvalid byte = 0
 
@@ -62,39 +66,17 @@ const (
 	tagStoreSequences         byte = 19
 	tagStoreSequencesAck      byte = 20
 
+	// ColdTag opens the encoding of a cold message (one without a binary
+	// codec): the rest of the input is its Marshal gob envelope.
+	ColdTag byte = 0xFE
+
 	// tagError marks a transport-level error response (a string, not a
 	// message); exported to transports via AppendErrorResponse/DecodeResponse.
 	tagError byte = 0xFF
 )
 
-// IsHot reports whether msg has a hand-rolled binary encoding. Everything
-// else rides gob.
-func IsHot(msg any) bool {
-	switch msg.(type) {
-	case GroupSearch, GroupSearchResult, GroupSearchBatch, GroupSearchBatchResult,
-		LocalSearch, LocalSearchResult, IndexBlocks, IndexBlocksAck,
-		FetchRegion, Region, PushBlocks, PushBlocksAck,
-		PushSequences, PushSequencesAck, SketchFetch, SketchFetchResult,
-		BuildIndex, BuildIndexAck, StoreSequences, StoreSequencesAck:
-		return true
-	}
-	return false
-}
-
-// Compressible reports whether msg is a block-transfer message whose frames
-// are worth compressing: bulk ingest and repair payloads carry residue data
-// with real redundancy, while search messages are latency-sensitive and
-// small.
-func Compressible(msg any) bool {
-	switch msg.(type) {
-	case IndexBlocks, PushBlocks:
-		return true
-	}
-	return false
-}
-
 // frame pool: encode-side scratch buffers, the []byte counterpart of
-// BufPool. Stored as *[]byte so Put does not allocate a slice header.
+// bufPool. Stored as *[]byte so Put does not allocate a slice header.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // GetFrame returns a pooled zero-length byte slice for building frames.
@@ -221,13 +203,51 @@ func AppendHot(dst []byte, msg any) ([]byte, bool) {
 func DecodeHot(data []byte) (any, error) {
 	r := reader{b: data}
 	msg := decodeHot(&r)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("wire: codec: %d trailing bytes after message", len(r.b)-r.off)
+	if err := r.done("message"); err != nil {
+		return nil, err
 	}
 	return msg, nil
+}
+
+// AppendMessage appends msg's wire encoding to dst: AppendHot's for hot
+// messages, otherwise ColdTag followed by the Marshal gob envelope. On error
+// dst is returned unchanged.
+func AppendMessage(dst []byte, msg any) ([]byte, error) {
+	if b, ok := AppendHot(dst, msg); ok {
+		return b, nil
+	}
+	b, err := appendEnvelope(append(dst, ColdTag), msg)
+	if err != nil {
+		return dst, err
+	}
+	return b, nil
+}
+
+// DecodeMessage decodes an AppendMessage encoding; the input must be fully
+// consumed. Byte-slice fields of hot messages alias data. It never panics on
+// arbitrary input (fuzz-enforced).
+func DecodeMessage(data []byte) (any, error) {
+	r := reader{b: data}
+	msg := decodeMessage(&r)
+	if err := r.done("message"); err != nil {
+		return nil, err
+	}
+	return msg, nil
+}
+
+// decodeMessage reads one AppendMessage encoding. A cold message's gob
+// envelope runs to the end of the input.
+func decodeMessage(r *reader) any {
+	if r.err != nil || r.off >= len(r.b) || r.b[r.off] != ColdTag {
+		return decodeHot(r)
+	}
+	msg, err := Unmarshal(r.b[r.off+1:])
+	if err != nil {
+		r.failf("cold message: %v", err)
+		return nil
+	}
+	r.off = len(r.b)
+	return msg
 }
 
 func decodeHot(r *reader) any {
@@ -330,60 +350,48 @@ func decodeHot(r *reader) any {
 	}
 }
 
-// AppendRequest appends a binary request payload — trace context followed by
-// the message — and reports whether msg had a binary codec.
-func AppendRequest(dst []byte, tc obs.TraceContext, msg any) ([]byte, bool) {
-	if !IsHot(msg) {
-		return dst, false
+// AppendRequest appends a request payload: the trace context, then the
+// AppendMessage encoding of msg. On error dst is returned unchanged.
+func AppendRequest(dst []byte, tc obs.TraceContext, msg any) ([]byte, error) {
+	b, err := AppendMessage(AppendTraceContext(dst, tc), msg)
+	if err != nil {
+		return dst, err
 	}
-	dst = AppendTraceContext(dst, tc)
-	return AppendHot(dst, msg)
+	return b, nil
 }
 
 // DecodeRequest decodes an AppendRequest payload. The message may alias data.
 func DecodeRequest(data []byte) (obs.TraceContext, any, error) {
 	r := reader{b: data}
 	tc := r.traceContext()
-	msg := decodeHot(&r)
-	if r.err != nil {
-		return obs.TraceContext{}, nil, r.err
-	}
-	if r.off != len(r.b) {
-		return obs.TraceContext{}, nil, fmt.Errorf("wire: codec: %d trailing bytes after request", len(r.b)-r.off)
+	msg := decodeMessage(&r)
+	if err := r.done("request"); err != nil {
+		return obs.TraceContext{}, nil, err
 	}
 	return tc, msg, nil
 }
 
-// AppendResponse appends a binary response payload and reports whether msg
-// had a binary codec. Error responses use AppendErrorResponse instead.
-func AppendResponse(dst []byte, msg any) ([]byte, bool) {
-	return AppendHot(dst, msg)
-}
-
-// AppendErrorResponse appends the binary encoding of an application-level
-// error response; every error is binary-encodable regardless of message
-// type.
+// AppendErrorResponse appends an application-level error response. A
+// successful response is the AppendMessage encoding of its message.
 func AppendErrorResponse(dst []byte, errMsg string) []byte {
 	dst = append(dst, tagError)
 	return appendString(dst, errMsg)
 }
 
-// DecodeResponse decodes a binary response payload into either a message or
-// a remote error string. The message may alias data.
+// DecodeResponse decodes a response payload into either a message or a
+// remote error string. The message may alias data.
 func DecodeResponse(data []byte) (msg any, errMsg string, err error) {
+	r := reader{b: data}
 	if len(data) > 0 && data[0] == tagError {
-		r := reader{b: data, off: 1}
+		r.off = 1
 		errMsg = r.str()
-		if r.err != nil {
-			return nil, "", r.err
-		}
-		if r.off != len(r.b) {
-			return nil, "", fmt.Errorf("wire: codec: trailing bytes after error response")
-		}
-		return nil, errMsg, nil
+	} else {
+		msg = decodeMessage(&r)
 	}
-	msg, err = DecodeHot(data)
-	return msg, "", err
+	if err := r.done("response"); err != nil {
+		return nil, "", err
+	}
+	return msg, errMsg, nil
 }
 
 // AppendTraceContext appends a trace context (three varints + sampled flag).
@@ -492,8 +500,8 @@ func appendSpans(dst []byte, spans []obs.SpanSnapshot) []byte {
 	if len(spans) == 0 {
 		return appendUvarint(dst, 0)
 	}
-	buf := BufPool.Get().(*bytes.Buffer)
-	defer BufPool.Put(buf)
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
 	buf.Reset()
 	if err := gob.NewEncoder(buf).Encode(spans); err != nil {
 		// SpanSnapshot is plain exported data; gob cannot fail on it. Drop
@@ -568,6 +576,15 @@ func (r *reader) failf(format string, args ...any) {
 }
 
 func (r *reader) remaining() int { return len(r.b) - r.off }
+
+// done returns the first decode error, or an error for input left over
+// after a complete value (what names the value).
+func (r *reader) done(what string) error {
+	if r.err == nil && r.off != len(r.b) {
+		return fmt.Errorf("wire: codec: %d trailing bytes after %s", len(r.b)-r.off, what)
+	}
+	return r.err
+}
 
 func (r *reader) byte() byte {
 	if r.err != nil {

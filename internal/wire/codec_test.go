@@ -9,13 +9,19 @@ import (
 	"mendel/internal/seq"
 )
 
+// isHot reports whether msg has a binary codec.
+func isHot(msg any) bool {
+	_, ok := AppendHot(nil, msg)
+	return ok
+}
+
 // hotSampleMessages filters sampleMessages down to the types the binary
 // codec covers, plus extra cases that stress its edges (empty slices, zero
 // values, negative ints, span blobs, batch items).
 func hotSampleMessages() []any {
 	var hot []any
 	for _, m := range sampleMessages() {
-		if IsHot(m) {
+		if isHot(m) {
 			hot = append(hot, m)
 		}
 	}
@@ -67,8 +73,8 @@ func hotSampleMessages() []any {
 	)
 }
 
-// gobRoundTripValue runs v through the same self-contained gob envelope the
-// transports' fallback path uses, yielding gob's canonical post-decode form
+// gobRoundTripValue runs v through the self-contained gob envelope cold
+// messages travel in, yielding gob's canonical post-decode form
 // (empty slices become nil, etc.).
 func gobRoundTripValue(t *testing.T, v any) any {
 	t.Helper()
@@ -122,18 +128,19 @@ func TestCodecGobEquivalence(t *testing.T) {
 }
 
 // TestCodecRequestResponseRoundTrip covers the transport-facing payload
-// helpers, trace context included.
+// helpers on hot and cold messages, trace context included.
 func TestCodecRequestResponseRoundTrip(t *testing.T) {
 	tcs := []obs.TraceContext{
 		{},
 		obs.UnsampledContext(),
 		{TraceHi: 0xdeadbeef, TraceLo: 0xcafef00d, SpanID: 42, Sampled: true},
 	}
+	msgs := append(hotSampleMessages(), sampleMessages()...)
 	for _, tc := range tcs {
-		for _, msg := range hotSampleMessages() {
-			payload, ok := AppendRequest(nil, tc, msg)
-			if !ok {
-				t.Fatalf("AppendRequest(%T): not hot", msg)
+		for _, msg := range msgs {
+			payload, err := AppendRequest(nil, tc, msg)
+			if err != nil {
+				t.Fatalf("AppendRequest(%T): %v", msg, err)
 			}
 			gotTC, gotMsg, err := DecodeRequest(payload)
 			if err != nil {
@@ -150,22 +157,42 @@ func TestCodecRequestResponseRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Response payloads: messages and errors.
-	payload, ok := AppendResponse(nil, IndexBlocksAck{Accepted: 3})
-	if !ok {
-		t.Fatal("AppendResponse(IndexBlocksAck): not hot")
-	}
-	msg, errMsg, err := DecodeResponse(payload)
-	if err != nil || errMsg != "" {
-		t.Fatalf("DecodeResponse: msg=%v errMsg=%q err=%v", msg, errMsg, err)
-	}
-	if ack, okAck := msg.(IndexBlocksAck); !okAck || ack.Accepted != 3 {
-		t.Fatalf("DecodeResponse: got %#v", msg)
+	// Response payloads: hot and cold messages, and errors.
+	for _, want := range []any{IndexBlocksAck{Accepted: 3}, Pong{Node: "n1", Booted: true}} {
+		payload, err := AppendMessage(nil, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, errMsg, err := DecodeResponse(payload)
+		if err != nil || errMsg != "" || msg != want {
+			t.Fatalf("DecodeResponse(%T): msg=%#v errMsg=%q err=%v", want, msg, errMsg, err)
+		}
 	}
 	ep := AppendErrorResponse(nil, "node n1: boom")
-	msg, errMsg, err = DecodeResponse(ep)
+	msg, errMsg, err := DecodeResponse(ep)
 	if err != nil || msg != nil || errMsg != "node n1: boom" {
 		t.Fatalf("error response round trip: msg=%v errMsg=%q err=%v", msg, errMsg, err)
+	}
+}
+
+// TestColdMessageEncoding pins the cold half of AppendMessage: ColdTag, then
+// exactly the Marshal envelope, with nothing accepted after it.
+func TestColdMessageEncoding(t *testing.T) {
+	for _, m := range sampleMessages() {
+		if isHot(m) {
+			continue
+		}
+		got, err := AppendMessage(nil, m)
+		if err != nil {
+			t.Fatalf("AppendMessage(%T): %v", m, err)
+		}
+		env, _ := Marshal(m)
+		if want := append([]byte{ColdTag}, env...); !bytes.Equal(got, want) {
+			t.Fatalf("%T: cold encoding %x, want ColdTag + Marshal %x", m, got, want)
+		}
+		if _, err := DecodeMessage(append(got, 0)); err == nil {
+			t.Fatalf("%T: trailing byte after a cold message accepted", m)
+		}
 	}
 }
 
@@ -290,25 +317,17 @@ func TestMatrixInterning(t *testing.T) {
 	}
 }
 
+// TestIsHotAndCompressible pins which messages are cold (gob envelopes on
+// the wire) and that every message of a steady-state write is hot.
 func TestIsHotAndCompressible(t *testing.T) {
 	for _, m := range []any{Ping{}, Bootstrap{}, Stats{}, Metrics{}, TraceFetch{}, UpdateTopology{}, BlockManifest{}} {
-		if IsHot(m) {
-			t.Errorf("%T reported hot", m)
-		}
-		if _, ok := AppendHot(nil, m); ok {
+		if isHot(m) {
 			t.Errorf("%T unexpectedly binary-encoded", m)
 		}
 	}
-	// A steady-state write sends no gob frame: every message of it is hot.
 	for _, m := range []any{IndexBlocks{}, IndexBlocksAck{}, BuildIndex{}, BuildIndexAck{}, StoreSequences{}, StoreSequencesAck{}} {
-		if !IsHot(m) {
+		if !isHot(m) {
 			t.Errorf("write-path message %T reported cold", m)
 		}
-	}
-	if !Compressible(IndexBlocks{}) || !Compressible(PushBlocks{}) {
-		t.Error("block-transfer messages must be compressible")
-	}
-	if Compressible(GroupSearch{}) || Compressible(Region{}) {
-		t.Error("latency-sensitive messages must not be compressible")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mendel/internal/obs"
 	"mendel/internal/seq"
 )
 
@@ -108,9 +109,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 //     message, that message is binary-encoded and decoded, and the result
 //     must be exactly the value a gob round trip produces (compared via
 //     re-encoding, which sidesteps nil-vs-empty and NaN pitfalls).
-//  2. As raw binary codec payloads: DecodeHot, DecodeRequest and
-//     DecodeResponse must never panic, and anything they accept must
-//     re-encode and re-decode to a stable value.
+//  2. As a raw binary codec payload: DecodeHot must never panic, and
+//     anything it accepts must re-encode and re-decode to a stable value.
 //
 // The corpus is seeded with the existing gob fuzz samples plus their binary
 // encodings, so both interpretations start from meaningful inputs.
@@ -131,7 +131,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Differential leg: gob-decodable hot messages must round-trip
 		// identically through both codecs.
-		if msg, err := Unmarshal(data); err == nil && IsHot(msg) {
+		if msg, err := Unmarshal(data); err == nil && isHot(msg) {
 			viaGobBytes, err := Marshal(msg)
 			if err != nil {
 				t.Fatalf("re-encoding gob-decoded %T: %v", msg, err)
@@ -152,7 +152,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 				t.Errorf("codec divergence for %T:\n  gob:    %x\n  binary: %x", msg, viaGobBytes, viaBinBytes)
 			}
 		}
-		// Robustness leg: the binary decoders must reject or round-trip
+		// Robustness leg: the binary decoder must reject or round-trip
 		// arbitrary input without panicking.
 		if msg, err := DecodeHot(data); err == nil {
 			bin, ok := AppendHot(nil, msg)
@@ -169,34 +169,29 @@ func FuzzCodecEquivalence(f *testing.F) {
 				t.Errorf("binary re-decode changed %T", msg)
 			}
 		}
-		if tc, msg, err := DecodeRequest(data); err == nil {
-			payload, ok := AppendRequest(nil, tc, msg)
-			if !ok {
-				t.Fatalf("DecodeRequest produced non-hot %T", msg)
-			}
-			if _, _, err := DecodeRequest(payload); err != nil {
-				t.Fatalf("unstable request round trip for %T: %v", msg, err)
-			}
-		}
-		if msg, errMsg, err := DecodeResponse(data); err == nil {
-			var payload []byte
-			if errMsg != "" {
-				payload = AppendErrorResponse(nil, errMsg)
-			} else {
-				var ok bool
-				if payload, ok = AppendResponse(nil, msg); !ok {
-					t.Fatalf("DecodeResponse produced non-hot %T", msg)
-				}
-			}
-			if _, _, err := DecodeResponse(payload); err != nil {
-				t.Fatalf("unstable response round trip: %v", err)
-			}
-		}
 	})
 }
 
-// FuzzDecode feeds arbitrary bytes to Unmarshal: it must never panic, and
-// any input it accepts must re-encode and re-decode to a stable value.
+// coldSamples holds one value of each cold request type (no binary codec):
+// FuzzDecode seeds each one's ColdTag encoding.
+func coldSamples() []any {
+	return []any{
+		Ping{},
+		Bootstrap{HashTree: []byte{1, 2, 3}, Metric: "hamming", BlockLen: 16, Groups: [][]string{{"a", "b"}, {"c"}}},
+		Stats{},
+		Metrics{},
+		MetricsHistory{WindowNS: 30e9},
+		TraceFetch{TraceID: "00000000000000010000000000000002"},
+		UpdateTopology{Groups: [][]string{{"a"}, {"b", "c"}}},
+		BlockManifest{},
+	}
+}
+
+// FuzzDecode feeds arbitrary bytes to every decoder a received frame or a
+// stored envelope reaches — Unmarshal, DecodeMessage, DecodeRequest and
+// DecodeResponse. None may panic, and any input one accepts must re-encode
+// with its own encoder and decode again to the same value (compared via
+// Marshal, which also sidesteps NaN != NaN under DeepEqual).
 func FuzzDecode(f *testing.F) {
 	for _, msg := range sampleMessages() {
 		data, err := Marshal(msg)
@@ -208,28 +203,81 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	for _, msg := range coldSamples() {
+		data, err := AppendMessage(nil, msg)
+		if err != nil {
+			f.Fatalf("seeding corpus with %T: %v", msg, err)
+		}
+		f.Add(data)
+	}
+	req, err := AppendRequest(nil, obs.TraceContext{TraceHi: 1, TraceLo: 2, SpanID: 3, Sampled: true}, Ping{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(req)
+	f.Add(AppendErrorResponse(nil, "node n1: boom"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := Unmarshal(data)
-		if err != nil {
-			return // rejected input is fine; panicking is not
+		if msg, err := Unmarshal(data); err == nil {
+			out, err := Marshal(msg)
+			if err != nil {
+				t.Fatalf("decoded %T but cannot re-encode it: %v", msg, err)
+			}
+			again, err := Unmarshal(out)
+			if err != nil {
+				t.Fatalf("re-decoding own encoding of %T: %v", msg, err)
+			}
+			sameMessage(t, "envelope", msg, again)
 		}
-		// Accepted input must round-trip: the decoded value re-encodes
-		// (byte-identical, which also sidesteps NaN != NaN under DeepEqual)
-		// and decodes again without error.
-		out, err := Marshal(msg)
-		if err != nil {
-			t.Fatalf("decoded %T but cannot re-encode it: %v", msg, err)
+		if msg, err := DecodeMessage(data); err == nil {
+			out, err := AppendMessage(nil, msg)
+			if err != nil {
+				t.Fatalf("decoded %T but cannot re-encode it: %v", msg, err)
+			}
+			again, err := DecodeMessage(out)
+			if err != nil {
+				t.Fatalf("re-decoding own encoding of %T: %v", msg, err)
+			}
+			sameMessage(t, "message", msg, again)
 		}
-		again, err := Unmarshal(out)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding of %T: %v", msg, err)
+		if tc, msg, err := DecodeRequest(data); err == nil {
+			out, err := AppendRequest(nil, tc, msg)
+			if err != nil {
+				t.Fatalf("decoded request %T but cannot re-encode it: %v", msg, err)
+			}
+			tc2, again, err := DecodeRequest(out)
+			if err != nil || tc2 != tc {
+				t.Fatalf("unstable request round trip for %T: tc %+v -> %+v, err %v", msg, tc, tc2, err)
+			}
+			sameMessage(t, "request", msg, again)
 		}
-		out2, err := Marshal(again)
-		if err != nil {
-			t.Fatalf("re-encoding %T: %v", again, err)
-		}
-		if !bytes.Equal(out, out2) {
-			t.Errorf("unstable round trip for %T:\n  first:  %x\n  second: %x", msg, out, out2)
+		if msg, errMsg, err := DecodeResponse(data); err == nil {
+			out := AppendErrorResponse(nil, errMsg)
+			if errMsg == "" {
+				if out, err = AppendMessage(nil, msg); err != nil {
+					t.Fatalf("decoded response %T but cannot re-encode it: %v", msg, err)
+				}
+			}
+			again, errMsg2, err := DecodeResponse(out)
+			if err != nil || errMsg2 != errMsg {
+				t.Fatalf("unstable response round trip: %q -> %q, err %v", errMsg, errMsg2, err)
+			}
+			sameMessage(t, "response", msg, again)
 		}
 	})
+}
+
+// sameMessage fails t unless a and b have identical gob envelopes.
+func sameMessage(t *testing.T, what string, a, b any) {
+	t.Helper()
+	ea, err := Marshal(a)
+	if err != nil {
+		t.Fatalf("%s: re-encoding %T: %v", what, a, err)
+	}
+	eb, err := Marshal(b)
+	if err != nil {
+		t.Fatalf("%s: re-encoding %T: %v", what, b, err)
+	}
+	if !bytes.Equal(ea, eb) {
+		t.Errorf("%s: unstable round trip for %T:\n  first:  %x\n  second: %x", what, a, ea, eb)
+	}
 }

@@ -1,11 +1,11 @@
 // Package wire defines the messages exchanged between Mendel cluster nodes
 // and the query parameters of the paper's Table I. Messages are plain
-// structs carried by the transports as interface values, with a per-message
-// codec dispatch: the hot request/response types have a hand-rolled binary
-// encoding (codec.go — varint fields, zero-copy byte views, pooled frames),
-// while cold and rare messages ride encoding/gob, for which every concrete
-// type is registered here. Marshal/Unmarshal remain the self-contained gob
-// envelope codec used for persistence, debugging and cold-path frames.
+// structs carried by the transports as interface values and encoded by
+// AppendMessage (codec.go): the hot request/response types have a
+// hand-rolled binary encoding (varint fields, zero-copy byte views, pooled
+// frames), while cold and rare messages ride encoding/gob, for which every
+// concrete type is registered here. Marshal/Unmarshal are that
+// self-contained gob envelope codec.
 package wire
 
 import (
@@ -413,36 +413,42 @@ type StatsResult struct {
 }
 
 // envelope boxes a message for Marshal/Unmarshal: gob refuses to encode a
-// bare interface value, so the codec wraps it in a single-field struct,
-// exactly as the transports frame their request/response exchanges.
+// bare interface value, so the codec wraps it in a single-field struct.
 type envelope struct{ V any }
 
-// BufPool recycles encode/decode scratch buffers across Marshal calls and
-// across the transports' per-message round trips: wire messages are encoded
-// on every RPC, so per-call bytes.Buffer growth was a measurable slice of
-// query-path allocations.
-var BufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufPool recycles gob encode scratch buffers: cold messages and span blobs
+// are encoded into a pooled buffer, then appended where they belong.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// Marshal encodes a registered wire message into a self-contained byte
-// slice (the persistence/debug counterpart of the transports' streaming
-// framing). The returned slice is owned by the caller; internal scratch is
-// pooled.
-func Marshal(msg any) ([]byte, error) {
-	buf := BufPool.Get().(*bytes.Buffer)
-	defer BufPool.Put(buf)
+// Marshal encodes a registered wire message into a self-contained gob
+// envelope — the reference encoding the binary codec is checked against,
+// and the body of a cold message's AppendMessage encoding. The returned
+// slice is owned by the caller.
+func Marshal(msg any) ([]byte, error) { return appendEnvelope(nil, msg) }
+
+// appendEnvelope appends the Marshal encoding of msg to dst; on error dst is
+// returned unchanged.
+func appendEnvelope(dst []byte, msg any) ([]byte, error) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
 	buf.Reset()
 	if err := gob.NewEncoder(buf).Encode(&envelope{V: msg}); err != nil {
-		return nil, fmt.Errorf("wire: marshal %T: %w", msg, err)
+		return dst, fmt.Errorf("wire: marshal %T: %w", msg, err)
 	}
-	return append([]byte(nil), buf.Bytes()...), nil
+	return append(dst, buf.Bytes()...), nil
 }
 
-// Unmarshal decodes a Marshal-produced byte slice back into its message.
-// Arbitrary input returns an error; it must never panic (fuzz-enforced).
+// Unmarshal decodes a Marshal-produced byte slice back into its message;
+// the input must be fully consumed. Arbitrary input returns an error; it
+// must never panic (fuzz-enforced).
 func Unmarshal(data []byte) (any, error) {
 	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
+	rd := bytes.NewReader(data)
+	if err := gob.NewDecoder(rd).Decode(&env); err != nil {
 		return nil, fmt.Errorf("wire: unmarshal: %w", err)
+	}
+	if rd.Len() != 0 {
+		return nil, fmt.Errorf("wire: unmarshal: %d trailing bytes", rd.Len())
 	}
 	return env.V, nil
 }

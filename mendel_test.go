@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -142,6 +143,97 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 	if restored.NameOf(7) != "ref" {
 		t.Fatal("manifest lost sequence names")
+	}
+}
+
+// TestTCPRepairRestoresWipedNode drives anti-entropy repair over real TCP:
+// a node restarted empty on its old address is re-bootstrapped and refilled
+// from its replica — cold messages (Bootstrap, BlockManifest) and hot ones
+// (PushBlocks, IndexBlocks) alike — after which the original coordinator and
+// one restored from its manifest both answer as before the fault.
+func TestTCPRepairRestoresWipedNode(t *testing.T) {
+	servers := make([]*NodeServer, 4)
+	var addrs []string
+	for i := range servers {
+		s, err := ServeNode("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = s
+		addrs = append(addrs, s.Addr())
+	}
+	t.Cleanup(func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	})
+	cfg := DefaultConfig(Protein)
+	cfg.Groups = 2
+	cfg.Replicas = 2
+	cluster, err := NewTCPCluster(cfg, [][]string{{addrs[0], addrs[1]}, {addrs[2], addrs[3]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	db := buildSet(t, rand.New(rand.NewSource(11)), 12, 300)
+	if err := cluster.Index(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	query := db.Seqs[5].Data[40:160]
+	want, err := cluster.Search(ctx, query, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || want[0].Seq != 5 {
+		t.Fatalf("TCP hits = %+v", want)
+	}
+	holdings := func() map[string][2]int {
+		stats, err := cluster.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[string][2]int)
+		for _, s := range stats {
+			m[s.Node] = [2]int{s.Blocks, s.Sequences}
+		}
+		return m
+	}
+	before := holdings()
+
+	servers[1].Close()
+	fresh, err := ServeNode(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers[1] = fresh
+	NewHealthMonitor(cluster, DefaultHealthConfig()).ProbeOnce(ctx)
+	rep, err := cluster.Repair(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BlocksMoved == 0 || rep.Unrepairable != 0 || rep.PushErrors != 0 || len(rep.Unreachable) != 0 {
+		t.Fatalf("repair not clean: %s", rep)
+	}
+	if after := holdings(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("holdings after repair %v, want %v", after, before)
+	}
+
+	var manifest bytes.Buffer
+	if err := SaveManifest(cluster, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadManifestTCP(&manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Cluster{"repaired": cluster, "restored": restored} {
+		got, err := c.Search(ctx, query, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s coordinator hits diverge:\n  got:  %+v\n  want: %+v", name, got, want)
+		}
 	}
 }
 

@@ -26,18 +26,6 @@ type (
 // timeout, 2 retries, breaker tripping after 5 consecutive failures).
 func DefaultResilienceConfig() ResilienceConfig { return transport.DefaultResilientConfig() }
 
-// WireConfig selects the TCP wire codec ("binary", the default, or "gob"
-// for the legacy framing) and whether block-transfer frames are
-// flate-compressed. The zero value — negotiated binary codec, no
-// compression — is what ServeNode, NewTCPCluster and LoadManifestTCP use.
-type WireConfig = transport.WireConfig
-
-// Codec names for WireConfig.Codec.
-const (
-	CodecBinary = transport.CodecBinary
-	CodecGob    = transport.CodecGob
-)
-
 // NodeServer is a storage node serving the Mendel protocol over TCP.
 type NodeServer struct {
 	srv    *transport.TCPServer
@@ -60,28 +48,14 @@ func ServeNode(addr string) (*NodeServer, error) {
 // the node's own outbound client (used for group fan-out and aggregation
 // when the node acts as a group entry point).
 func ServeNodeResilient(addr string, rc ResilienceConfig) (*NodeServer, error) {
-	return ServeNodeWire(addr, rc, WireConfig{})
-}
-
-// ServeNodeWire is ServeNodeResilient with an explicit wire codec policy,
-// applied to both the node's server side and its own outbound client.
-func ServeNodeWire(addr string, rc ResilienceConfig, wc WireConfig) (*NodeServer, error) {
 	srv, err := transport.ListenTCP(addr, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := srv.SetWire(wc); err != nil {
-		srv.Close()
 		return nil, err
 	}
 	// The node's advertised identity is the bound listener address (known
 	// only after listening); it uses a TCP client of its own to reach its
 	// group peers when acting as a group entry point.
 	client := transport.NewTCPClient(0)
-	if err := client.SetWire(wc); err != nil {
-		srv.Close()
-		return nil, err
-	}
 	rcall := transport.NewResilientCaller(client, rc)
 	n := node.New(srv.Addr(), rcall)
 	srv.SetHandler(n)
@@ -170,17 +144,7 @@ func NewTCPCluster(cfg Config, groups [][]string) (*Cluster, error) {
 // NewTCPClusterResilient is NewTCPCluster with an explicit resilience
 // policy; the returned ResilientCaller exposes Stats() for observability.
 func NewTCPClusterResilient(cfg Config, groups [][]string, rc ResilienceConfig) (*Cluster, *ResilientCaller, error) {
-	return NewTCPClusterWire(cfg, groups, rc, WireConfig{})
-}
-
-// NewTCPClusterWire is NewTCPClusterResilient with an explicit wire codec
-// policy for the coordinator's outbound client.
-func NewTCPClusterWire(cfg Config, groups [][]string, rc ResilienceConfig, wc WireConfig) (*Cluster, *ResilientCaller, error) {
-	client := transport.NewTCPClient(0)
-	if err := client.SetWire(wc); err != nil {
-		return nil, nil, err
-	}
-	caller := transport.NewResilientCaller(client, rc)
+	caller := transport.NewResilientCaller(transport.NewTCPClient(0), rc)
 	c, err := core.NewCluster(cfg, caller, groups)
 	if err != nil {
 		return nil, nil, err
@@ -203,17 +167,7 @@ func LoadManifestTCP(r io.Reader) (*Cluster, error) {
 // LoadManifestTCPResilient is LoadManifestTCP with an explicit resilience
 // policy; the returned ResilientCaller exposes Stats() for observability.
 func LoadManifestTCPResilient(r io.Reader, rc ResilienceConfig) (*Cluster, *ResilientCaller, error) {
-	return LoadManifestTCPWire(r, rc, WireConfig{})
-}
-
-// LoadManifestTCPWire is LoadManifestTCPResilient with an explicit wire
-// codec policy for the coordinator's outbound client.
-func LoadManifestTCPWire(r io.Reader, rc ResilienceConfig, wc WireConfig) (*Cluster, *ResilientCaller, error) {
-	client := transport.NewTCPClient(0)
-	if err := client.SetWire(wc); err != nil {
-		return nil, nil, err
-	}
-	caller := transport.NewResilientCaller(client, rc)
+	caller := transport.NewResilientCaller(transport.NewTCPClient(0), rc)
 	c, err := core.LoadManifest(r, caller)
 	if err != nil {
 		return nil, nil, err
