@@ -260,8 +260,7 @@ func BenchmarkEndToEndSearch(b *testing.B) {
 // BenchmarkPrefilterQuery measures the end-to-end cost of a short foreign
 // query (the sketch prefilter's best case: its windows share no k-mer with
 // the database, so every group is provably safe to skip) with the prefilter
-// off vs in bloom mode. The data shape matches BenchmarkEndToEndSearch; both
-// variants sit in the CI regression gate.
+// off vs in bloom mode. The data shape matches BenchmarkEndToEndSearch.
 func BenchmarkPrefilterQuery(b *testing.B) {
 	for _, mode := range []PrefilterMode{PrefilterOff, PrefilterBloom} {
 		b.Run("prefilter="+mode.String(), func(b *testing.B) {
@@ -301,8 +300,8 @@ func BenchmarkPrefilterQuery(b *testing.B) {
 // (sampled=0: the head sampler rejects every query, so no node records or
 // ships a span) against full tracing (sampled=1: every span recorded,
 // shipped inline, and exemplar-labelled). The data shape matches
-// BenchmarkEndToEndSearch; both variants sit in the CI regression gate, the
-// unsampled one pinning tracing's cost for untraced queries near zero.
+// BenchmarkEndToEndSearch; the unsampled variant shows tracing's cost for
+// untraced queries.
 func BenchmarkTracingOverhead(b *testing.B) {
 	for _, rate := range []float64{-1, 1} {
 		name := "sampled=0"
@@ -342,9 +341,9 @@ func BenchmarkTracingOverhead(b *testing.B) {
 	}
 }
 
-// benchmarkIngest measures ingest residues/sec with the given pipeline
-// (workers = 1 serial, 0 parallel default).
-func benchmarkIngest(b *testing.B, workers int) {
+// BenchmarkIndexThroughput measures ingest residues/sec through the
+// pipeline (one fragmentation worker per core).
+func BenchmarkIndexThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	db := NewSet(Protein)
 	for i := 0; i < 50; i++ {
@@ -356,7 +355,6 @@ func benchmarkIngest(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(Protein)
 		cfg.Groups = 2
-		cfg.IngestWorkers = workers
 		cluster, err := NewInProcess(cfg, 4)
 		if err != nil {
 			b.Fatal(err)
@@ -367,14 +365,6 @@ func benchmarkIngest(b *testing.B, workers int) {
 	}
 	b.ReportMetric(float64(db.TotalResidues()*b.N)/b.Elapsed().Seconds(), "residues/s")
 }
-
-// BenchmarkIndexThroughput measures ingest residues/sec through the default
-// (parallel) pipeline.
-func BenchmarkIndexThroughput(b *testing.B) { benchmarkIngest(b, 0) }
-
-// BenchmarkIndexThroughputSerial is the IngestWorkers=1 baseline the
-// parallel pipeline's speedup is quoted against.
-func BenchmarkIndexThroughputSerial(b *testing.B) { benchmarkIngest(b, 1) }
 
 // BenchmarkRepairThroughput measures anti-entropy re-replication speed:
 // every iteration wipes one storage node (a fresh empty node takes over its

@@ -5,15 +5,13 @@
 // Usage:
 //
 //	mendel-bench [flags] <experiment>
+//	mendel-bench load [flags]
 //
 // where experiment is one of: table1, fig5, fig6a, fig6b, fig6c, fig6d,
-// ablate-depth, ablate-tier2, ablate-insert, ablate-bucket, perf, prefilter,
-// codec, all.
-//
-// The perf experiment measures the ingest and query hot paths (ns/op,
-// allocs/op, blocks/sec, p50/p95 latency); -json writes its machine-readable
-// form — the BENCH_*.json artifact the CI benchmark gate archives — to the
-// given path.
+// ablate-depth, ablate-tier2, ablate-insert, ablate-bucket, all. The load
+// subcommand drives a live `mendel serve` gateway open loop. Performance
+// claims are made with the benchmark ledger (bash benchmark/run.sh), not
+// with this command.
 package main
 
 import (
@@ -44,11 +42,10 @@ func main() {
 	queries := flag.Int("queries", 5, "queries per measurement point")
 	seed := flag.Int64("seed", 1, "workload seed")
 	latency := flag.Duration("latency", 0, "simulated per-message LAN latency (e.g. 1ms)")
-	jsonPath := flag.String("json", "", "write the perf experiment's JSON result to this file")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mendel-bench [flags] <table1|fig5|fig6a|fig6b|fig6c|fig6d|ablate-depth|ablate-tier2|ablate-insert|ablate-bucket|perf|prefilter|codec|all>")
+		fmt.Fprintln(os.Stderr, "usage: mendel-bench [flags] <table1|fig5|fig6a|fig6b|fig6c|fig6d|ablate-depth|ablate-tier2|ablate-insert|ablate-bucket|all>")
 		os.Exit(2)
 	}
 	scale := bench.Scale{
@@ -63,10 +60,10 @@ func main() {
 		scale.Latency = transport.LatencyModel{Base: *latency, Jitter: *latency / 2}
 	}
 
-	run(flag.Arg(0), scale, *jsonPath)
+	run(flag.Arg(0), scale)
 }
 
-func run(name string, scale bench.Scale, jsonPath string) {
+func run(name string, scale bench.Scale) {
 	experiments := map[string]func(bench.Scale) (fmt.Stringer, error){
 		"fig5": func(s bench.Scale) (fmt.Stringer, error) { return wrap(bench.RunFig5(s)) },
 		"fig6a": func(s bench.Scale) (fmt.Stringer, error) {
@@ -93,57 +90,9 @@ func run(name string, scale bench.Scale, jsonPath string) {
 		"ablate-bucket": func(s bench.Scale) (fmt.Stringer, error) {
 			return wrap(bench.RunAblateBucket(s, nil))
 		},
-		"perf": func(s bench.Scale) (fmt.Stringer, error) {
-			r, err := bench.RunPerf(s)
-			if err != nil {
-				return nil, err
-			}
-			if jsonPath != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-			}
-			return wrap(r, nil)
-		},
-		"prefilter": func(s bench.Scale) (fmt.Stringer, error) {
-			r, err := bench.RunPrefilter(s)
-			if err != nil {
-				return nil, err
-			}
-			if jsonPath != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-			}
-			return wrap(r, nil)
-		},
-		"codec": func(bench.Scale) (fmt.Stringer, error) {
-			r, err := bench.RunCodecAB()
-			if err != nil {
-				return nil, err
-			}
-			if jsonPath != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-			}
-			return wrap(r, nil)
-		},
 	}
 	order := []string{"table1", "fig5", "fig6a", "fig6b", "fig6c", "fig6d",
-		"ablate-depth", "ablate-tier2", "ablate-insert", "ablate-bucket", "perf", "prefilter", "codec"}
+		"ablate-depth", "ablate-tier2", "ablate-insert", "ablate-bucket"}
 
 	runOne := func(id string) {
 		if id == "table1" {
@@ -173,11 +122,11 @@ func run(name string, scale bench.Scale, jsonPath string) {
 }
 
 // runLoad is the `mendel-bench load` subcommand: an open-loop load run
-// against a live `mendel serve` gateway, emitting the BENCH_5.json artifact
-// with -json. Unlike the closed-loop experiments above (which own their
-// simulated cluster), load offers requests on a fixed arrival schedule to a
-// real HTTP endpoint, so it measures shed behaviour and goodput under
-// overload rather than best-case latency.
+// against a live `mendel serve` gateway, writing its JSON result with
+// -json. Unlike the closed-loop experiments above (which own their simulated
+// cluster), load offers requests on a fixed arrival schedule to a real HTTP
+// endpoint, so it measures shed behaviour and goodput under overload rather
+// than best-case latency.
 func runLoad(args []string) {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	url := fs.String("url", "http://127.0.0.1:9090", "gateway base URL")
@@ -193,16 +142,12 @@ func runLoad(args []string) {
 	failOnErr := fs.Bool("fail-on-errors", false, "exit non-zero on non-shed errors or zero successes (CI gate)")
 	fs.Parse(args)
 
-	k := seq.Protein
-	if *kind == "dna" {
-		k = seq.DNA
-	}
 	res, err := loadgen.Run(context.Background(), loadgen.Config{
 		URL:      *url,
 		Rate:     *rate,
 		Duration: *duration,
 		Mix:      loadgen.Mix(*mix),
-		Kind:     k,
+		Kind:     parseKind(*kind),
 		QueryLen: *qlen,
 		Tenants:  *tenants,
 		Timeout:  *timeout,
@@ -224,6 +169,18 @@ func runLoad(args []string) {
 	// Gate after the artifact is written, so a failing run still uploads.
 	if *failOnErr && (res.Errors > 0 || res.OK == 0) {
 		log.Fatalf("mendel-bench load: gate failed: %d non-shed errors, %d ok responses", res.Errors, res.OK)
+	}
+}
+
+func parseKind(name string) seq.Kind {
+	switch name {
+	case "protein":
+		return seq.Protein
+	case "dna":
+		return seq.DNA
+	default:
+		log.Fatalf("mendel-bench load: unknown kind %q", name)
+		return seq.Protein
 	}
 }
 

@@ -216,8 +216,12 @@ func cmdQuery(args []string) {
 			hm := mendel.NewHealthMonitor(cluster, mendel.DefaultHealthConfig())
 			hm.ObserveBreakers(rpc)
 			go hm.Run(context.Background())
-			_, bound, err := mendel.ServeMetricsWithHealth(*metricsAddr, reg, tracer,
-				cluster.TraceSource(context.Background()), hm.Source())
+			_, bound, err := mendel.MetricsSurface{
+				Registry: reg,
+				Tracer:   tracer,
+				Trace:    cluster.TraceSource(context.Background()),
+				Health:   hm.Source(),
+			}.Serve(*metricsAddr)
 			if err != nil {
 				log.Fatalf("mendel query: metrics endpoint: %v", err)
 			}

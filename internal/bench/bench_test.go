@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -237,44 +236,5 @@ func TestTableRendering(t *testing.T) {
 	}
 	if len(lines[0]) != len(lines[1]) {
 		t.Fatalf("header and separator misaligned:\n%s", out)
-	}
-}
-
-func TestRunPerf(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf harness runs real benchmarks")
-	}
-	r, err := RunPerf(TestScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Blocks <= 0 {
-		t.Fatalf("blocks = %d", r.Blocks)
-	}
-	if r.IngestSerialNsPerOp <= 0 || r.IngestParallelNsPerOp <= 0 {
-		t.Fatalf("ingest ns/op: serial %d parallel %d", r.IngestSerialNsPerOp, r.IngestParallelNsPerOp)
-	}
-	if r.IngestSpeedup <= 0 {
-		t.Fatalf("speedup = %f", r.IngestSpeedup)
-	}
-	if r.QueryNsPerOp <= 0 || r.QueryAllocsPerOp <= 0 {
-		t.Fatalf("query: %d ns/op, %d allocs/op", r.QueryNsPerOp, r.QueryAllocsPerOp)
-	}
-	if r.QueryP95Ns < r.QueryP50Ns {
-		t.Fatalf("p95 %d < p50 %d", r.QueryP95Ns, r.QueryP50Ns)
-	}
-	data, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back PerfResult
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("JSON round trip: %v", err)
-	}
-	if back.Blocks != r.Blocks || back.QueryP95Ns != r.QueryP95Ns {
-		t.Fatal("JSON round trip lost fields")
-	}
-	if !strings.Contains(r.Render(), "ingest speedup") {
-		t.Fatal("Render missing speedup row")
 	}
 }

@@ -184,7 +184,7 @@ func (c *Cluster) FetchTrace(ctx context.Context, traceID string) []obs.SpanSnap
 // TraceSource adapts FetchTrace to the obs HTTP surface, so a coordinator
 // process can serve /debug/trace/{id} with cluster-wide assembly:
 //
-//	obs.ServeWithTraces(addr, reg, tracer, cluster.TraceSource(ctx))
+//	obs.Surface{Registry: reg, Tracer: tracer, Trace: cluster.TraceSource(ctx)}.Serve(addr)
 func (c *Cluster) TraceSource(ctx context.Context) obs.TraceSource {
 	return func(traceID string) []obs.SpanSnapshot {
 		return c.FetchTrace(ctx, traceID)

@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"mendel/internal/seq"
 	"mendel/internal/sketch"
@@ -66,14 +65,6 @@ type Config struct {
 	// high-entropy segments). 0 derives the default; -1 forces exact
 	// (unbudgeted) search.
 	SearchBudget int
-	// IngestWorkers sets the fragmentation/hashing worker count of Index.
-	// 0 (the default) uses one worker per core with concurrent per-node
-	// batch senders; 1 selects the fully serial pipeline (the baseline the
-	// perf harness compares against); higher values pin the pool size.
-	// Either way block placement and the resulting per-node vp-trees are
-	// identical — the staged BuildIndex protocol makes ingest order
-	// irrelevant.
-	IngestWorkers int
 	// SketchK is the k-mer length of the sketch prefilter tier (§DESIGN 14).
 	// 0 derives the per-kind default (5 for protein, 11 for DNA); -1
 	// disables sketching cluster-wide — nodes build no signatures and the
@@ -134,8 +125,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MaxGapped = %d", c.MaxGapped)
 	case c.Replicas < 0:
 		return fmt.Errorf("core: Replicas = %d", c.Replicas)
-	case c.IngestWorkers < 0:
-		return fmt.Errorf("core: IngestWorkers = %d", c.IngestWorkers)
 	case c.SketchK < -1:
 		return fmt.Errorf("core: SketchK = %d", c.SketchK)
 	case c.SketchBloomBits < 0:
@@ -163,15 +152,6 @@ func (c Config) replicas() int {
 		return 1
 	}
 	return c.Replicas
-}
-
-// ingestWorkers returns the effective fragmentation worker count (zero
-// means one per core).
-func (c Config) ingestWorkers() int {
-	if c.IngestWorkers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.IngestWorkers
 }
 
 // sketchParams returns the effective sketch shape: the per-kind defaults

@@ -313,7 +313,7 @@ func (hm *HealthMonitor) Snapshot() []NodeHealth {
 // Source adapts the monitor to the obs HTTP surface, so a coordinator
 // process can serve /debug/health:
 //
-//	obs.ServeWithHealth(addr, reg, tracer, src, monitor.Source())
+//	obs.Surface{Registry: reg, Tracer: tracer, Health: monitor.Source()}.Serve(addr)
 func (hm *HealthMonitor) Source() obs.HealthSource {
 	return func() any { return hm.Snapshot() }
 }

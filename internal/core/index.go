@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"mendel/internal/invindex"
@@ -176,11 +177,10 @@ func (c *Cluster) bootstrapMsg() (wire.Bootstrap, error) {
 }
 
 // storeSequences places each sequence on its repository shard. Shards are
-// independent, so the per-node StoreSequences calls run concurrently unless
-// the serial pipeline (IngestWorkers = 1) was requested. An unreachable
-// shard does not fail the ingest: its write set is parked as a hint and
-// replayed when the health monitor sees the node return (with Replicas >= 2
-// the surviving copies keep queries at full recall meanwhile).
+// independent, so the per-node StoreSequences calls run concurrently. An
+// unreachable shard does not fail the ingest: its write set is parked as a
+// hint and replayed when the health monitor sees the node return (with
+// Replicas >= 2 the surviving copies keep queries at full recall meanwhile).
 func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID, w *sketchWrite) error {
 	byNode := make(map[string]*wire.StoreSequences)
 	for _, s := range set.Seqs {
@@ -196,25 +196,6 @@ func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID,
 			msg.Data = append(msg.Data, s.Data)
 		}
 	}
-	store := func(node string, msg *wire.StoreSequences) error {
-		if _, err := c.caller.Call(ctx, node, *msg); err != nil {
-			if errors.Is(err, transport.ErrUnreachable) {
-				c.hintSequences(node, *msg)
-				w.spoilt.Store(true)
-				return nil
-			}
-			return fmt.Errorf("core: storing sequences on %s: %w", node, err)
-		}
-		return nil
-	}
-	if c.cfg.ingestWorkers() <= 1 {
-		for node, msg := range byNode {
-			if err := store(node, msg); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -224,8 +205,14 @@ func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID,
 		wg.Add(1)
 		go func(node string, msg *wire.StoreSequences) {
 			defer wg.Done()
-			if err := store(node, msg); err != nil {
-				errOnce.Do(func() { firstErr = err })
+			_, err := c.caller.Call(ctx, node, *msg)
+			switch {
+			case err == nil:
+			case errors.Is(err, transport.ErrUnreachable):
+				c.hintSequences(node, *msg)
+				w.spoilt.Store(true)
+			default:
+				errOnce.Do(func() { firstErr = fmt.Errorf("core: storing sequences on %s: %w", node, err) })
 			}
 		}(node, msg)
 	}
@@ -247,17 +234,11 @@ func (c *Cluster) hintBlocks(node string, blocks []wire.Block) {
 
 // dispatchBlocks fragments, hashes and ships every block, then broadcasts
 // BuildIndex so each node folds its staged blocks into the local vp-tree
-// with one bulk median-split build. Both pipelines stage: nodes sort the
-// staged set before building, so the serial and parallel paths produce
-// byte-identical trees (asserted by TestIngestSerialParallelEquivalence).
+// with one bulk median-split build. Nodes sort the staged set before
+// building, so the trees do not depend on the worker count or on RPC
+// arrival order (asserted by TestIngestIndependentOfWorkerCount).
 func (c *Cluster) dispatchBlocks(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite) error {
-	var err error
-	if workers := c.cfg.ingestWorkers(); workers <= 1 {
-		err = c.dispatchSerial(ctx, set, base, blockCfg, tree, w)
-	} else {
-		err = c.dispatchParallel(ctx, set, base, blockCfg, tree, w, workers)
-	}
-	if err != nil {
+	if err := c.shipBlocks(ctx, set, base, blockCfg, tree, w); err != nil {
 		return err
 	}
 	// A node that went down mid-ingest must not fail the build for everyone
@@ -292,66 +273,19 @@ func (c *Cluster) sendBlocks(ctx context.Context, node string, blocks []wire.Blo
 	return nil
 }
 
-// dispatchSerial is the single-threaded ingest pipeline, kept both as the
-// IngestWorkers=1 escape hatch and as the baseline the perf harness and the
-// equivalence test compare the parallel pipeline against.
-func (c *Cluster) dispatchSerial(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite) error {
-	pending := make(map[string][]wire.Block)
-	flush := func(node string) error {
-		blocks := pending[node]
-		if len(blocks) == 0 {
-			return nil
-		}
-		pending[node] = nil
-		return c.sendBlocks(ctx, node, blocks, w)
-	}
-	replicas := c.cfg.replicas()
-	var placed []placement
-	for _, s := range set.Seqs {
-		gid := base + s.ID
-		for _, b := range invindex.Blocks(s, blockCfg) {
-			group := tree.Group(b.Content) // tier 1: similarity
-			// Tier 2: flat SHA-1 ring within the group, with optional
-			// replication to the next distinct ring members.
-			for _, node := range w.topo.ReplicasFor(group, b.Content, replicas) {
-				if w.fold {
-					placed = append(placed, placement{group, b.Content})
-				}
-				pending[node] = append(pending[node], wire.Block{
-					Seq:     gid,
-					Start:   b.Start,
-					Content: b.Content,
-					Context: b.Context,
-					CtxOff:  b.CtxOff,
-				})
-				if len(pending[node]) >= indexBatchBlocks {
-					if err := flush(node); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	for node := range pending {
-		if err := flush(node); err != nil {
-			return err
-		}
-	}
-	w.placed = placed
-	return nil
-}
-
-// dispatchParallel is the concurrent ingest pipeline: a bounded pool of
-// fragmentation workers pulls whole sequences from a feed, fragments them
-// into blocks and hashes each through both DHT tiers (vp-prefix tree, then
-// the group's SHA-1 ring), accumulating worker-local per-node batches; full
-// batches are handed to one sender goroutine per node, which serializes that
-// node's IndexBlocks RPCs. Fragmenting/hashing (CPU) thus overlaps with RPC
-// encode/transfer, and no two goroutines ever write to the same node
-// concurrently. The first error cancels the pipeline; block placement is a
-// pure function of content, so concurrency never changes where a block
-// lands, and staging (see dispatchBlocks) keeps the trees deterministic.
-func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite, workers int) error {
+// shipBlocks is the ingest pipeline: one fragmentation worker per core
+// (GOMAXPROCS; a one-core host runs the same pipeline with one worker) pulls
+// whole sequences from a feed, fragments them into blocks and hashes each
+// through both DHT tiers (vp-prefix tree, then the group's SHA-1 ring),
+// accumulating worker-local per-node batches; full batches are handed to one
+// sender goroutine per node, which serializes that node's IndexBlocks RPCs.
+// Fragmenting/hashing (CPU) thus overlaps with RPC encode/transfer, and no
+// two goroutines ever write to the same node concurrently. The first error
+// cancels the pipeline; block placement is a pure function of content, so
+// concurrency never changes where a block lands, and staging (see
+// dispatchBlocks) keeps the trees deterministic.
+func (c *Cluster) shipBlocks(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite) error {
+	workers := runtime.GOMAXPROCS(0)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (

@@ -4,20 +4,29 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mendel/internal/seq"
 	"mendel/internal/transport"
 )
 
-// newIngestCluster builds an 8-node/4-group protein cluster with the given
-// ingest worker count, over the same deterministic configuration.
-func newIngestCluster(t *testing.T, workers int) *InProcess {
+// setProcs sets GOMAXPROCS to n until the test ends. Index runs one
+// fragmentation worker per core, so this is how a test picks the ingest
+// worker count; tests calling it must not run in parallel.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// newIngestCluster builds an 8-node/4-group protein cluster over a
+// deterministic configuration.
+func newIngestCluster(t *testing.T) *InProcess {
 	t.Helper()
 	cfg := DefaultConfig(seq.Protein)
 	cfg.Groups = 4
 	cfg.SampleSize = 500
-	cfg.IngestWorkers = workers
 	ip, err := NewInProcess(cfg, 8, transport.WithEncodeCheck())
 	if err != nil {
 		t.Fatal(err)
@@ -25,50 +34,49 @@ func newIngestCluster(t *testing.T, workers int) *InProcess {
 	return ip
 }
 
-// TestIngestSerialParallelEquivalence is the contract of the staged ingest
-// protocol: the serial (IngestWorkers=1) and parallel pipelines must place
-// every block on the same node and build identical local vp-trees, so
-// queries answer identically. Placement is content-hashed and trees are
-// built from the sorted staged set, so neither may depend on ingest
-// concurrency or RPC arrival order. Run under -race this also exercises the
-// sender/worker synchronization.
-func TestIngestSerialParallelEquivalence(t *testing.T) {
+// TestIngestIndependentOfWorkerCount is the contract of the staged ingest
+// protocol: a one-worker and an eight-worker ingest must place every block
+// on the same node and build identical local vp-trees, so queries answer
+// identically. Placement is content-hashed and trees are built from the
+// sorted staged set, so neither may depend on ingest concurrency or RPC
+// arrival order. Run under -race this also exercises the sender/worker
+// synchronization.
+func TestIngestIndependentOfWorkerCount(t *testing.T) {
 	ctx := context.Background()
-	serial := newIngestCluster(t, 1)
-	parallel := newIngestCluster(t, 8)
-
-	// Identical databases, from identical seeds.
-	dbSerial := buildTestDB(rand.New(rand.NewSource(42)), 40, 400)
-	dbParallel := buildTestDB(rand.New(rand.NewSource(42)), 40, 400)
-
-	if err := serial.Index(ctx, dbSerial); err != nil {
-		t.Fatal(err)
+	index := func(procs int) (*InProcess, *seq.Set) {
+		setProcs(t, procs)
+		ip := newIngestCluster(t)
+		// Identical databases, from identical seeds.
+		db := buildTestDB(rand.New(rand.NewSource(42)), 40, 400)
+		if err := ip.Index(ctx, db); err != nil {
+			t.Fatal(err)
+		}
+		return ip, db
 	}
-	if err := parallel.Index(ctx, dbParallel); err != nil {
-		t.Fatal(err)
-	}
+	one, db := index(1)
+	many, _ := index(8)
 
 	// Block placement and tree construction must match node for node.
-	ss, err := serial.Stats(ctx)
+	st1, err := one.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := parallel.Stats(ctx)
+	st8, err := many.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ss) != len(ps) {
-		t.Fatalf("stats length %d vs %d", len(ss), len(ps))
+	if len(st1) != len(st8) {
+		t.Fatalf("stats length %d vs %d", len(st1), len(st8))
 	}
-	for i := range ss {
-		if ss[i].Node != ps[i].Node ||
-			ss[i].Blocks != ps[i].Blocks ||
-			ss[i].Residues != ps[i].Residues ||
-			ss[i].Sequences != ps[i].Sequences ||
-			ss[i].TreeSize != ps[i].TreeSize {
-			t.Errorf("node %s diverged: serial {blocks %d residues %d seqs %d tree %d} parallel {blocks %d residues %d seqs %d tree %d}",
-				ss[i].Node, ss[i].Blocks, ss[i].Residues, ss[i].Sequences, ss[i].TreeSize,
-				ps[i].Blocks, ps[i].Residues, ps[i].Sequences, ps[i].TreeSize)
+	for i := range st1 {
+		if st1[i].Node != st8[i].Node ||
+			st1[i].Blocks != st8[i].Blocks ||
+			st1[i].Residues != st8[i].Residues ||
+			st1[i].Sequences != st8[i].Sequences ||
+			st1[i].TreeSize != st8[i].TreeSize {
+			t.Errorf("node %s diverged: 1 worker {blocks %d residues %d seqs %d tree %d} 8 workers {blocks %d residues %d seqs %d tree %d}",
+				st1[i].Node, st1[i].Blocks, st1[i].Residues, st1[i].Sequences, st1[i].TreeSize,
+				st8[i].Blocks, st8[i].Residues, st8[i].Sequences, st8[i].TreeSize)
 		}
 	}
 
@@ -77,32 +85,33 @@ func TestIngestSerialParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	params := defaultTestParams()
 	for trial := 0; trial < 6; trial++ {
-		src := dbSerial.Seqs[rng.Intn(len(dbSerial.Seqs))]
+		src := db.Seqs[rng.Intn(len(db.Seqs))]
 		start := rng.Intn(src.Len() - 120)
 		query := append([]byte(nil), src.Data[start:start+120]...)
 		if trial%2 == 1 {
 			query = mutateSubs(rng, query, 0.1)
 		}
-		hs, err := serial.Search(ctx, query, params)
+		ho, err := one.Search(ctx, query, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hp, err := parallel.Search(ctx, query, params)
+		hm, err := many.Search(ctx, query, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(hs, hp) {
-			t.Fatalf("trial %d: serial and parallel clusters returned different hits:\n%v\nvs\n%v", trial, hs, hp)
+		if !reflect.DeepEqual(ho, hm) {
+			t.Fatalf("trial %d: 1-worker and 8-worker clusters returned different hits:\n%v\nvs\n%v", trial, ho, hm)
 		}
 	}
 }
 
 // TestIngestParallelGrowsDatabase re-indexes a second set into an existing
-// parallel cluster — Index must be repeatable, and hits from both batches
-// must be found.
+// cluster with four ingest workers — Index must be repeatable, and hits
+// from both batches must be found.
 func TestIngestParallelGrowsDatabase(t *testing.T) {
 	ctx := context.Background()
-	ip := newIngestCluster(t, 4)
+	setProcs(t, 4)
+	ip := newIngestCluster(t)
 
 	first := buildTestDB(rand.New(rand.NewSource(7)), 20, 300)
 	second := buildTestDB(rand.New(rand.NewSource(8)), 20, 300)

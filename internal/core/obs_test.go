@@ -164,7 +164,7 @@ func TestObservabilityHTTPSurface(t *testing.T) {
 	if _, err := ip.Search(context.Background(), db.Seqs[7].Data[40:200], defaultTestParams()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(obs.Handler(reg, tracer))
+	srv := httptest.NewServer(obs.Surface{Registry: reg, Tracer: tracer}.Handler())
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")

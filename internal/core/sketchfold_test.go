@@ -104,7 +104,7 @@ func TestSketchFoldMatchesPull(t *testing.T) {
 					cfg.Groups = 3
 					cfg.SampleSize = 300
 					cfg.Replicas = replicas
-					cfg.IngestWorkers = workers
+					setProcs(t, workers)
 					ip, err := NewInProcess(cfg, 9, transport.WithEncodeCheck())
 					if err != nil {
 						t.Fatal(err)

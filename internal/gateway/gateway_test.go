@@ -46,7 +46,7 @@ func newTestEnv(t *testing.T, gcfg Config) *testEnv {
 	}
 	reg := obs.NewRegistry()
 	gw := New(ip.Cluster, gcfg, reg)
-	srv := httptest.NewServer(obs.HandlerWithRoutes(reg, nil, nil, nil, gw.Routes()...))
+	srv := httptest.NewServer(obs.Surface{Registry: reg, Routes: gw.Routes()}.Handler())
 	t.Cleanup(srv.Close)
 	return &testEnv{gw: gw, srv: srv, cluster: ip, reg: reg, db: db}
 }

@@ -99,10 +99,10 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Result is the machine-readable outcome of one load run — the BENCH_5.json
-// artifact. Latency quantiles cover successful queries only; goodput is
-// successful queries per second of wall-clock, the number that should stay
-// flat when offered load exceeds capacity.
+// Result is the machine-readable outcome of one load run. Latency
+// quantiles cover successful queries only; goodput is successful queries
+// per second of wall-clock, the number that should stay flat when offered
+// load exceeds capacity.
 type Result struct {
 	Mix       string  `json:"mix"`
 	TargetQPS float64 `json:"target_qps"`
@@ -125,7 +125,7 @@ type Result struct {
 	MaxMs        float64 `json:"max_ms"`
 }
 
-// JSON renders the result for the BENCH_5.json artifact.
+// JSON renders the result as indented JSON.
 func (r *Result) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // String renders a human-readable summary table.
@@ -156,6 +156,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.Rate <= 0 || cfg.Duration <= 0 {
 		return nil, fmt.Errorf("loadgen: rate and duration must be positive")
+	}
+	switch cfg.Mix {
+	case MixRead, MixWrite, MixBurst:
+	default:
+		return nil, fmt.Errorf("loadgen: unknown mix %q", cfg.Mix)
 	}
 	queries := cfg.Queries
 	if len(queries) == 0 {

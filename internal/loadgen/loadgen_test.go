@@ -37,7 +37,7 @@ func newGatewayServer(t *testing.T, gcfg gateway.Config) (*httptest.Server, *cor
 	}
 	reg := obs.NewRegistry()
 	gw := gateway.New(ip.Cluster, gcfg, reg)
-	srv := httptest.NewServer(obs.HandlerWithRoutes(reg, nil, nil, nil, gw.Routes()...))
+	srv := httptest.NewServer(obs.Surface{Registry: reg, Routes: gw.Routes()}.Handler())
 	t.Cleanup(srv.Close)
 	return srv, ip
 }
@@ -170,13 +170,17 @@ func TestLoadBurstMixShedsButStaysCorrect(t *testing.T) {
 }
 
 func TestLoadConfigValidation(t *testing.T) {
-	if _, err := Run(context.Background(), Config{Rate: 1, Duration: time.Second}); err == nil {
-		t.Fatal("missing URL accepted")
-	}
-	if _, err := Run(context.Background(), Config{URL: "http://x", Duration: time.Second}); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := Run(context.Background(), Config{URL: "http://x", Rate: 1}); err == nil {
-		t.Fatal("zero duration accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"missing URL", Config{Rate: 1, Duration: time.Second}},
+		{"zero rate", Config{URL: "http://x", Duration: time.Second}},
+		{"zero duration", Config{URL: "http://x", Rate: 1}},
+		{"unknown mix", Config{URL: "http://127.0.0.1:0", Rate: 10, Duration: 100 * time.Millisecond, Mix: "wrtie"}},
+	} {
+		if _, err := Run(context.Background(), tc.cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

@@ -11,30 +11,6 @@ import (
 	"time"
 )
 
-// Handler builds the observability HTTP surface over a registry and tracer
-// (either may be nil):
-//
-//	/metrics          plain-text metrics; ?format=json for a JSON snapshot
-//	/metrics/history  windowed time-series JSON (?window=30s, ?nodes=1 for
-//	                  the per-node breakdown); 404 until a TimeSeries is
-//	                  attached
-//	/debug/slo        SLO watchdog state (ok/warn/page) as JSON; 404 until
-//	                  a Watchdog is attached
-//	/debug/vars       expvar (process-global JSON, includes memstats)
-//	/debug/pprof/*    the standard runtime profiles
-//	/debug/spans      recent completed query span trees; ?slow=1 for the
-//	                  slow-query log, ?format=json for machine-readable
-//	                  output, ?n=K to bound the span count
-//	/debug/trace/{id} the assembled span tree of one trace ID (local roots
-//	                  merged via AssembleTrace, or the tree registered with
-//	                  SetTraceSource); 404 for unknown IDs
-//
-// Every /metrics* and /debug/* response carries Cache-Control: no-store so
-// polling clients and proxies never serve stale telemetry.
-func Handler(reg *Registry, tr *Tracer) http.Handler {
-	return Surface{Registry: reg, Tracer: tr}.Handler()
-}
-
 // TraceSource resolves a 32-hex trace ID to its assembled cross-node span
 // tree. The coordinator passes Cluster.FetchTrace-backed lookup so
 // /debug/trace/{id} covers node-side spans; plain node processes use the
@@ -72,8 +48,7 @@ type Route struct {
 
 // Surface bundles every sink the observability HTTP endpoints draw from.
 // All fields are optional: nil sinks serve empty bodies or 404, never
-// panic. The positional Handler*/Serve* helpers delegate here; new call
-// sites should build a Surface directly.
+// panic.
 type Surface struct {
 	Registry *Registry
 	Tracer   *Tracer
@@ -90,8 +65,27 @@ type Surface struct {
 	Routes []Route
 }
 
-// Handler builds the mux for this surface. See Handler (package function)
-// for the endpoint list.
+// Handler builds the observability mux for this surface:
+//
+//	/metrics          plain-text metrics; ?format=json for a JSON snapshot
+//	/metrics/history  windowed time-series JSON (?window=30s, ?nodes=1 for
+//	                  the per-node breakdown); 404 unless History or Cluster
+//	                  is set
+//	/debug/slo        SLO watchdog state (ok/warn/page) as JSON; 404 unless
+//	                  SLO is set
+//	/debug/health     the Health source's value as JSON; 404 unless set
+//	/debug/vars       expvar (process-global JSON, includes memstats)
+//	/debug/pprof/*    the standard runtime profiles
+//	/debug/spans      recent completed query span trees; ?slow=1 for the
+//	                  slow-query log, ?format=json for machine-readable
+//	                  output, ?n=K to bound the span count
+//	/debug/trace/{id} the assembled span tree of one trace ID (the Trace
+//	                  source's, else the Tracer's local roots merged via
+//	                  AssembleTrace); 404 for unknown IDs
+//
+// Routes are mounted onto the same mux. Every /metrics* and /debug/*
+// response carries Cache-Control: no-store so polling clients and proxies
+// never serve stale telemetry.
 func (s Surface) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.Routes {
@@ -246,56 +240,10 @@ func (s Surface) Serve(addr string) (*http.Server, string, error) {
 	return srv, ln.Addr().String(), nil
 }
 
-// HandlerWithTraces is Handler with an optional cross-node trace source
-// backing /debug/trace/{id}. A nil src falls back to the tracer's own
-// retained roots. All three sinks may be nil: nil reg serves empty metrics,
-// nil tr serves empty span lists and 404 traces — never a panic (the
-// documented "either may be nil" contract).
-func HandlerWithTraces(reg *Registry, tr *Tracer, src TraceSource) http.Handler {
-	return Surface{Registry: reg, Tracer: tr, Trace: src}.Handler()
-}
-
-// HandlerWithHealth is HandlerWithTraces with an optional health source
-// backing /debug/health. A nil health source serves 404 from that path.
-func HandlerWithHealth(reg *Registry, tr *Tracer, src TraceSource, health HealthSource) http.Handler {
-	return Surface{Registry: reg, Tracer: tr, Trace: src, Health: health}.Handler()
-}
-
-// HandlerWithRoutes is HandlerWithHealth plus application routes mounted
-// onto the same mux.
-func HandlerWithRoutes(reg *Registry, tr *Tracer, src TraceSource, health HealthSource, routes ...Route) http.Handler {
-	return Surface{Registry: reg, Tracer: tr, Trace: src, Health: health, Routes: routes}.Handler()
-}
-
 // Publish exposes the registry under the given expvar name, so the JSON
 // snapshot also appears in /debug/vars alongside the runtime's variables.
 // Publishing the same name twice panics (an expvar rule), so callers should
 // publish once per process.
 func Publish(name string, reg *Registry) {
 	expvar.Publish(name, expvar.Func(func() any { return reg.Snapshot() }))
-}
-
-// Serve binds addr (":0" picks a free port), serves the observability
-// surface from a background goroutine, and returns the server (for
-// Shutdown/Close) plus the bound address. It is a convenience for CLIs.
-func Serve(addr string, reg *Registry, tr *Tracer) (*http.Server, string, error) {
-	return ServeWithTraces(addr, reg, tr, nil)
-}
-
-// ServeWithTraces is Serve with a cross-node trace source backing
-// /debug/trace/{id} (see HandlerWithTraces).
-func ServeWithTraces(addr string, reg *Registry, tr *Tracer, src TraceSource) (*http.Server, string, error) {
-	return ServeWithHealth(addr, reg, tr, src, nil)
-}
-
-// ServeWithHealth is ServeWithTraces with a health source backing
-// /debug/health (see HandlerWithHealth).
-func ServeWithHealth(addr string, reg *Registry, tr *Tracer, src TraceSource, health HealthSource) (*http.Server, string, error) {
-	return ServeWithRoutes(addr, reg, tr, src, health)
-}
-
-// ServeWithRoutes is ServeWithHealth plus application routes mounted onto
-// the same mux (see HandlerWithRoutes).
-func ServeWithRoutes(addr string, reg *Registry, tr *Tracer, src TraceSource, health HealthSource, routes ...Route) (*http.Server, string, error) {
-	return Surface{Registry: reg, Tracer: tr, Trace: src, Health: health, Routes: routes}.Serve(addr)
 }

@@ -21,6 +21,11 @@ func testSinks() (*Registry, *Tracer) {
 	return reg, tr
 }
 
+func testSurface() Surface {
+	reg, tr := testSinks()
+	return Surface{Registry: reg, Tracer: tr}
+}
+
 func get(t *testing.T, h http.Handler, url string) (int, string) {
 	t.Helper()
 	req := httptest.NewRequest("GET", url, nil)
@@ -31,7 +36,7 @@ func get(t *testing.T, h http.Handler, url string) (int, string) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	h := Handler(testSinks())
+	h := testSurface().Handler()
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -62,7 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestSpansEndpoint(t *testing.T) {
-	h := Handler(testSinks())
+	h := testSurface().Handler()
 	code, body := get(t, h, "/debug/spans")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -94,7 +99,7 @@ func TestSpansEndpointN(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Start("q").End()
 	}
-	h := Handler(reg, tr)
+	h := Surface{Registry: reg, Tracer: tr}.Handler()
 	_, body := get(t, h, "/debug/spans?format=json&n=2")
 	var spans []SpanSnapshot
 	if err := json.Unmarshal([]byte(body), &spans); err != nil {
@@ -106,7 +111,7 @@ func TestSpansEndpointN(t *testing.T) {
 }
 
 func TestDebugEndpoints(t *testing.T) {
-	h := Handler(testSinks())
+	h := testSurface().Handler()
 	for _, url := range []string{"/debug/vars", "/debug/pprof/", "/debug/pprof/cmdline"} {
 		if code, _ := get(t, h, url); code != http.StatusOK {
 			t.Errorf("%s status = %d", url, code)
@@ -115,7 +120,7 @@ func TestDebugEndpoints(t *testing.T) {
 }
 
 func TestNilSinksServe(t *testing.T) {
-	h := Handler(nil, nil)
+	h := Surface{}.Handler()
 	if code, body := get(t, h, "/metrics"); code != http.StatusOK || strings.TrimSpace(body) != "" {
 		t.Fatalf("/metrics with nil registry: %d %q", code, body)
 	}
@@ -125,8 +130,8 @@ func TestNilSinksServe(t *testing.T) {
 }
 
 func TestServeBindsAndAnswers(t *testing.T) {
-	reg, tr := testSinks()
-	srv, addr, err := Serve("127.0.0.1:0", reg, tr)
+	s := testSurface()
+	srv, addr, err := s.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +146,13 @@ func TestServeBindsAndAnswers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "rpc_calls 9") {
 		t.Fatalf("served metrics wrong: %d %s", resp.StatusCode, body)
 	}
-	if _, _, err := Serve(addr, reg, tr); err == nil {
+	if _, _, err := s.Serve(addr); err == nil {
 		t.Fatal("second bind of the same address should fail")
 	}
 }
 
 func TestHealthEndpoint(t *testing.T) {
-	reg, tr := testSinks()
+	s := testSurface()
 	type row struct {
 		Addr  string `json:"addr"`
 		State string `json:"state"`
@@ -155,7 +160,8 @@ func TestHealthEndpoint(t *testing.T) {
 	src := HealthSource(func() any {
 		return []row{{Addr: "node-000", State: "up"}, {Addr: "node-001", State: "down"}}
 	})
-	h := HandlerWithHealth(reg, tr, nil, src)
+	s.Health = src
+	h := s.Handler()
 	code, body := get(t, h, "/debug/health")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -169,7 +175,8 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 
 	// Without a source the path 404s; the rest of the surface still works.
-	h = HandlerWithHealth(reg, tr, nil, nil)
+	s.Health = nil
+	h = s.Handler()
 	if code, _ := get(t, h, "/debug/health"); code != http.StatusNotFound {
 		t.Fatalf("nil source status = %d, want 404", code)
 	}

@@ -29,7 +29,7 @@ func TestTraceEndpoint(t *testing.T) {
 	sp.SetNode("10.0.0.1:1")
 	sp.Child("fanout").End()
 	sp.End()
-	h := Handler(nil, tr)
+	h := Surface{Tracer: tr}.Handler()
 
 	code, body := getStatus(t, h, "/debug/trace/"+tc.TraceID())
 	if code != http.StatusOK {
@@ -67,7 +67,7 @@ func TestTraceEndpointUsesSource(t *testing.T) {
 		asked = id
 		return []SpanSnapshot{{Name: "assembled", TraceID: id}}
 	}
-	h := HandlerWithTraces(nil, nil, src)
+	h := Surface{Trace: src}.Handler()
 	code, body := getStatus(t, h, "/debug/trace/abc123")
 	if code != http.StatusOK || asked != "abc123" || !strings.Contains(body, "assembled") {
 		t.Errorf("source not consulted: status=%d asked=%q body=%q", code, asked, body)
@@ -76,9 +76,9 @@ func TestTraceEndpointUsesSource(t *testing.T) {
 
 // Regression: before the nil-sink hardening, /debug/spans and
 // /debug/trace/{id} dereferenced a nil tracer/registry and panicked the
-// serving goroutine; Handler documents that "either may be nil".
+// serving goroutine; Surface documents that every sink may be nil.
 func TestHandlerNilSinksDoNotPanic(t *testing.T) {
-	h := Handler(nil, nil)
+	h := Surface{}.Handler()
 	if code, body := getStatus(t, h, "/debug/spans?format=json"); code != http.StatusOK || strings.TrimSpace(body) != "null" && strings.TrimSpace(body) != "[]" {
 		t.Errorf("/debug/spans with nil tracer: status %d body %q", code, body)
 	}

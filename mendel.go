@@ -27,7 +27,6 @@ package mendel
 import (
 	"io"
 	"log/slog"
-	"net/http"
 	"time"
 
 	"mendel/internal/blast"
@@ -102,7 +101,7 @@ func ExactJaccard(a, b []byte, cfg Config) float64 { return core.ExactJaccard(a,
 // and mergeable latency histograms; a QueryTracer records a span tree per
 // query decomposed into the paper's pipeline stages. Attach them with
 // InProcess.Observe, NodeServer.Observe or Cluster.SetObservability, and
-// expose them over HTTP (with pprof) via ServeMetrics.
+// expose them over HTTP (with pprof) via MetricsSurface.
 type (
 	// MetricsRegistry is a concurrency-safe metrics sink.
 	MetricsRegistry = obs.Registry
@@ -171,7 +170,8 @@ type (
 	ProfileConfig = obs.ProfileConfig
 	// MetricsSurface bundles every observability sink behind one HTTP
 	// mux: /metrics, /metrics/history, /debug/slo, /debug/health, spans,
-	// traces and pprof.
+	// traces and pprof. Its Handler method builds the mux and Serve binds
+	// it to an address; every sink may be nil.
 	MetricsSurface = obs.Surface
 )
 
@@ -215,7 +215,7 @@ func MergeMetricsHistories(hs ...MetricsHistory) MetricsHistory { return obs.Mer
 // control (bounded in-flight window plus a FIFO wait queue; overload sheds
 // with 429 + Retry-After), per-tenant token-bucket quotas keyed by the
 // X-Mendel-Tenant header, and per-request deadlines. Mount its Routes onto
-// the observability mux with ServeMetricsWithRoutes so the API and /metrics
+// the observability mux via MetricsSurface.Routes so the API and /metrics
 // share one listener. Cluster.EnableFanOutCoalescing complements it by
 // batching concurrent queries' per-group RPCs.
 type (
@@ -232,12 +232,6 @@ type (
 // disables gateway metrics.
 func NewGateway(c *Cluster, cfg GatewayConfig, reg *MetricsRegistry) *Gateway {
 	return gateway.New(c, cfg, reg)
-}
-
-// ServeMetricsWithRoutes is ServeMetricsWithHealth plus application routes
-// (e.g. Gateway.Routes) mounted onto the same mux.
-func ServeMetricsWithRoutes(addr string, reg *MetricsRegistry, tr *QueryTracer, src TraceSource, health HealthSource, routes ...Route) (*http.Server, string, error) {
-	return obs.ServeWithRoutes(addr, reg, tr, src, health, routes...)
 }
 
 // Self-healing re-exports. A HealthMonitor probes every node on a jittered
@@ -281,43 +275,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NewQueryTracer creates a tracer retaining the most recent capacity root
 // spans (0 uses the default).
 func NewQueryTracer(capacity int) *QueryTracer { return obs.NewTracer(capacity) }
-
-// MetricsHandler serves /metrics, /debug/spans, /debug/trace/{id},
-// /debug/vars and /debug/pprof/* from the given sinks; either may be nil.
-func MetricsHandler(reg *MetricsRegistry, tr *QueryTracer) http.Handler { return obs.Handler(reg, tr) }
-
-// MetricsHandlerWithTraces is MetricsHandler with an explicit cross-node
-// trace source backing /debug/trace/{id}; pass Cluster.TraceSource so the
-// endpoint assembles node-side spans too. A nil src falls back to the
-// tracer's own retained roots.
-func MetricsHandlerWithTraces(reg *MetricsRegistry, tr *QueryTracer, src TraceSource) http.Handler {
-	return obs.HandlerWithTraces(reg, tr, src)
-}
-
-// ServeMetrics starts an HTTP observability endpoint on addr (":0" picks a
-// free port) and returns the server plus its bound address.
-func ServeMetrics(addr string, reg *MetricsRegistry, tr *QueryTracer) (*http.Server, string, error) {
-	return obs.Serve(addr, reg, tr)
-}
-
-// ServeMetricsWithTraces is ServeMetrics with a cross-node trace source
-// backing /debug/trace/{id} (see MetricsHandlerWithTraces).
-func ServeMetricsWithTraces(addr string, reg *MetricsRegistry, tr *QueryTracer, src TraceSource) (*http.Server, string, error) {
-	return obs.ServeWithTraces(addr, reg, tr, src)
-}
-
-// MetricsHandlerWithHealth is MetricsHandlerWithTraces with a health source
-// backing /debug/health; pass HealthMonitor.Source on a coordinator or
-// NodeServer.HealthSource on a node. A nil health source serves 404 there.
-func MetricsHandlerWithHealth(reg *MetricsRegistry, tr *QueryTracer, src TraceSource, health HealthSource) http.Handler {
-	return obs.HandlerWithHealth(reg, tr, src, health)
-}
-
-// ServeMetricsWithHealth is ServeMetricsWithTraces with a health source
-// backing /debug/health (see MetricsHandlerWithHealth).
-func ServeMetricsWithHealth(addr string, reg *MetricsRegistry, tr *QueryTracer, src TraceSource, health HealthSource) (*http.Server, string, error) {
-	return obs.ServeWithHealth(addr, reg, tr, src, health)
-}
 
 // AssembleTraceSpans merges span trees collected from several tracers —
 // coordinator roots plus node-shipped subtrees — into the deduplicated

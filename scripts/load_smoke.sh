@@ -4,9 +4,12 @@
 # non-shed error. Two phases:
 #
 #   1. A 10s read mix against a generously provisioned gateway must
-#      sustain the offered rate with zero errors (emits BENCH_5.json).
+#      sustain the offered rate with zero errors.
 #   2. A 5s burst mix against a deliberately tiny admission window must
 #      shed (429) rather than error: overload stays bounded and correct.
+#
+# Phase 1's JSON result and phase 2's SLO state, dashboard frame and
+# profiles land in slo_artifacts/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +35,10 @@ sleep 1
 "$workdir/mendel" index -nodes 127.0.0.1:7471,127.0.0.1:7472 -groups 2 \
   -kind protein -fasta "$workdir/db.fasta" -manifest "$workdir/cluster.mendel"
 
+artifacts=slo_artifacts
+rm -rf "$artifacts"
+mkdir -p "$artifacts"
+
 # Phase 1: sustained read mix, roomy limits. Any non-shed error fails.
 # The sketch prefilter is coordinator-side state: `mendel serve` takes the
 # -prefilter flag, the storage nodes need none (they answer SketchFetch
@@ -42,7 +49,7 @@ sleep 1
 sleep 1
 "$workdir/mendel-bench" load -url http://127.0.0.1:7461 \
   -rate 60 -duration 10s -mix read -qlen 64 -seed 1 \
-  -json BENCH_5.json -fail-on-errors
+  -json "$artifacts/read.json" -fail-on-errors
 
 # The gateway forwards its registry to the TCP client, so /metrics must
 # show bytes actually moving on the coordinator-to-node RPC path; zero (or
@@ -63,9 +70,6 @@ echo "rpc byte accounting ok: sent=$(printf '%s\n' "$metrics" | awk '$1=="rpc_by
 # overload as 429s and error on none of it — and the watchdog must leave
 # ok while the burst is in flight, then recover once it stops (the bad
 # intervals age out of the 6s slow window; silence reads as healthy).
-artifacts=slo_artifacts
-rm -rf "$artifacts"
-mkdir -p "$artifacts"
 # Prefilter OFF here on purpose: this phase probes admission control and
 # the watchdog, and the sketch tier would let the gateway skip every group
 # for random burst queries — the one-slot window never saturates and

@@ -108,8 +108,8 @@ func (s *NodeServer) History() *TimeSeries { return s.series }
 func (s *NodeServer) Addr() string { return s.srv.Addr() }
 
 // HealthSource returns a /debug/health backend serving this node's local
-// inventory summary (booted flag, block/sequence/tree counts). Pass it to
-// ServeMetricsWithHealth; cluster-wide health lives on the coordinator's
+// inventory summary (booted flag, block/sequence/tree counts). Set it as
+// MetricsSurface.Health; cluster-wide health lives on the coordinator's
 // HealthMonitor instead.
 func (s *NodeServer) HealthSource() HealthSource {
 	return func() any { return s.node.Health() }

@@ -97,7 +97,7 @@ func TestDistributedTraceAssemblyOverTCP(t *testing.T) {
 	}
 
 	// The same tree must be reachable over the coordinator's HTTP surface.
-	srv := httptest.NewServer(MetricsHandlerWithTraces(reg, tracer, cluster.TraceSource(ctx)))
+	srv := httptest.NewServer(MetricsSurface{Registry: reg, Tracer: tracer, Trace: cluster.TraceSource(ctx)}.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/trace/" + tr.TraceID)
 	if err != nil {
