@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"mendel/internal/invindex"
+	"mendel/internal/seq"
 	"mendel/internal/wire"
 )
 
@@ -31,11 +32,20 @@ type blockLoc struct {
 // add or get stays valid for ever, also after the node lock is released.
 // Content is a view into the context, and Seq and Start are the packed
 // reference that keys the index — the only per-block state besides the bytes
-// is an 8-byte blockLoc. Guarded by Node.mu.
+// is an 8-byte blockLoc. Blocks of one sequence added in ascending order
+// share the residues their contexts overlap: see add. Guarded by Node.mu.
 type blockStore struct {
 	blockLen, maxCtx int
 	chunks           [][]byte
 	index            map[uint64]blockLoc
+	tail             span
+}
+
+// span is the residue run the last chunk ends with: residues [start, end) of
+// sequence seq, stored from chunk offset off.
+type span struct {
+	seq             seq.ID
+	start, end, off int
 }
 
 func newBlockStore(blockLen, margin int) (blockStore, error) {
@@ -79,22 +89,47 @@ func (s *blockStore) room(n int) bool {
 }
 
 // add stores a checked block and returns the stored view of its content, or
-// nil, changing nothing, when the reference is already held.
+// nil, changing nothing, when the reference is already held. A context that
+// extends the tail span (see shares) appends only its residues past the
+// span's end and points into the span; any other context is appended whole
+// and becomes the new tail span.
 func (s *blockStore) add(b *wire.Block) []byte {
 	ref := invindex.PackRef(b.Seq, b.Start)
 	if _, dup := s.index[ref]; dup {
 		return nil
 	}
-	last := len(s.chunks) - 1
-	if last < 0 || chunkBytes-len(s.chunks[last]) < len(b.Context) {
-		s.chunks = append(s.chunks, make([]byte, 0, chunkBytes))
-		last++
+	lo := b.Start - b.CtxOff // the context's first residue in its sequence
+	hi := lo + len(b.Context)
+	last, t := len(s.chunks)-1, &s.tail
+	if !s.shares(b, lo, hi) {
+		if last < 0 || chunkBytes-len(s.chunks[last]) < len(b.Context) {
+			s.chunks = append(s.chunks, make([]byte, 0, chunkBytes))
+			last++
+		}
+		*t = span{seq: b.Seq, start: lo, end: lo, off: len(s.chunks[last])}
 	}
-	off := len(s.chunks[last])
-	s.chunks[last] = append(s.chunks[last], b.Context...)
-	loc := blockLoc{pos: uint32(last<<chunkShift | off), ctxLen: uint16(len(b.Context)), ctxOff: uint16(b.CtxOff)}
+	if hi > t.end {
+		s.chunks[last] = append(s.chunks[last], b.Context[t.end-lo:]...)
+		t.end = hi
+	}
+	loc := blockLoc{pos: uint32(last<<chunkShift | (t.off + lo - t.start)), ctxLen: uint16(len(b.Context)), ctxOff: uint16(b.CtxOff)}
 	s.index[ref] = loc
 	return s.view(ref, loc).Content
+}
+
+// shares reports whether b's context, residues [lo, hi) of its sequence, can
+// point into the tail span: it starts inside the span or right after it, its
+// bytes equal every stored byte they overlap, and the residues past the
+// span's end fit the last chunk.
+func (s *blockStore) shares(b *wire.Block, lo, hi int) bool {
+	t := s.tail
+	if len(s.chunks) == 0 || b.Seq != t.seq || lo < t.start || lo > t.end {
+		return false
+	}
+	last := s.chunks[len(s.chunks)-1]
+	stored := last[t.off+lo-t.start:] // the span ends the chunk
+	n := min(len(stored), len(b.Context))
+	return bytes.Equal(stored[:n], b.Context[:n]) && len(last)+max(hi-t.end, 0) <= chunkBytes
 }
 
 func (s *blockStore) get(ref uint64) (wire.Block, bool) {

@@ -11,10 +11,11 @@ import (
 // heap once every request that carried it is garbage: context chunk, index
 // entry and the vp-tree's copy of the key. A map[uint64]wire.Block whose
 // slices pinned the request frames held about 270 B here; the block store
-// holds about 150 B. (Not under -race: the detector's shadow memory and
+// with one whole context per block about 145 B; sharing contexts along a
+// sequence about 89 B. (Not under -race: the detector's shadow memory and
 // allocator change the accounting.)
 func TestResidentBytesPerBlock(t *testing.T) {
-	const blocks, budget = 20000, 180
+	const blocks, budget = 20000, 103
 	frames := hotFrames(t, blocks, 4096)
 	heap := func() uint64 {
 		runtime.GC()

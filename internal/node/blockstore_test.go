@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"mendel/internal/dht"
 	"mendel/internal/invindex"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
@@ -92,12 +95,16 @@ func TestBlockStoreRoundTrip(t *testing.T) {
 
 func TestBlockStoreChunkRollOver(t *testing.T) {
 	// 64-byte contexts fill a chunk exactly; 80-byte ones leave 16 bytes the
-	// next context must not straddle.
+	// next context must not straddle. Every block names its own sequence, so
+	// no two share a byte.
 	for _, margin := range []int{24, 32} {
 		ctxLen := 16 + 2*margin
 		perChunk := chunkBytes / ctxLen
 		blocks := wireBlocks(rand.New(rand.NewSource(2)), 1, 2*perChunk+ctxLen+100, invindex.Config{BlockLen: 16, Margin: margin})
 		full := blocks[margin : margin+2*perChunk+1] // full-margin contexts only
+		for i := range full {
+			full[i].Seq = seq.ID(i + 1)
+		}
 		s := mustStore(t, 16, margin)
 		mustAdd(t, s, full[:perChunk])
 		if len(s.chunks) != 1 || len(s.chunks[0]) != perChunk*ctxLen {
@@ -116,6 +123,172 @@ func TestBlockStoreChunkRollOver(t *testing.T) {
 			t.Fatalf("margin %d: bytes = %d, want %d", margin, s.bytes(), want)
 		}
 	}
+}
+
+// chunkBytesUsed is the context bytes a store holds, without chunk slack.
+func chunkBytesUsed(s *blockStore) (n int) {
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// runBytes is what a run of ascending blocks of one sequence stores when
+// every block after the first shares: the residues from the first context's
+// start to the last context's end.
+func runBytes(run []wire.Block) int {
+	first, last := run[0], run[len(run)-1]
+	return last.Start - last.CtxOff + len(last.Context) - (first.Start - first.CtxOff)
+}
+
+func TestBlockStoreSharesSpans(t *testing.T) {
+	const seqLen, longLen = 300, chunkBytes + 4000
+	cfg := invindex.Config{BlockLen: 16, Margin: 32} // 80-byte contexts
+	rng := rand.New(rand.NewSource(7))
+	a, b := wireBlocks(rng, 1, seqLen, cfg), wireBlocks(rng, 2, seqLen, cfg)
+	long := wireBlocks(rng, 3, longLen, cfg)
+	var alternating []wire.Block
+	whole := 0 // every context stored in full
+	for i := range a {
+		alternating = append(alternating, a[i], b[i])
+		whole += len(a[i].Context) + len(b[i].Context)
+	}
+	descending := slices.Clone(a[32:253]) // full 80-byte contexts only
+	slices.Reverse(descending)
+	// disagree copies blk with its context changed at offset i, outside the
+	// content, so it still passes check.
+	disagree := func(blk wire.Block, i int) wire.Block {
+		blk.Context = slices.Clone(blk.Context)
+		blk.Context[i] ^= 'A' ^ 'C'
+		blk.Content = blk.Context[blk.CtxOff : blk.CtxOff+16]
+		return blk
+	}
+	cases := []struct {
+		name   string
+		blocks []wire.Block
+		chunks []int // bytes held by each chunk
+		tail   int   // first residue of the final tail span
+	}{
+		{"stride-1 run stores each residue once", a, []int{seqLen}, 0},
+		{"two sequences in runs", slices.Concat(a[:100], b[:100], a[100:], b[100:]),
+			[]int{runBytes(a[:100]) + runBytes(b[:100]) + runBytes(a[100:]) + runBytes(b[100:])}, 68},
+		{"two sequences alternating share nothing", alternating, []int{whole}, 252},
+		{"gap of 2·Margin continues the span", slices.Concat(a[:10], a[89:100]), []int{runBytes(a[:100])}, 0},
+		{"gap wider than 2·Margin starts a span", slices.Concat(a[:10], a[90:100]), []int{runBytes(a[:10]) + runBytes(a[90:100])}, 58},
+		{"first overlapping byte disagrees", slices.Concat(a[:50], []wire.Block{disagree(a[50], 0)}, a[51:]),
+			[]int{runBytes(a[:50]) + runBytes(a[50:])}, 18},
+		{"last overlapping byte disagrees", slices.Concat(a[:50], []wire.Block{disagree(a[50], 78)}, a[51:]),
+			[]int{runBytes(a[:50]) + 80 + runBytes(a[51:])}, 19},
+		{"suffix past the chunk opens a chunk with the full context", long,
+			[]int{chunkBytes, longLen - (chunkBytes - 79)}, chunkBytes - 79},
+		{"descending blocks share nothing", descending, []int{80 * len(descending)}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustStore(t, 16, 32)
+			mustAdd(t, s, tc.blocks)
+			wantBlocks(t, s, tc.blocks)
+			var got []int
+			for _, c := range s.chunks {
+				got = append(got, len(c))
+			}
+			if !slices.Equal(got, tc.chunks) || s.tail.start != tc.tail {
+				t.Fatalf("chunks hold %v bytes, tail span from %d; want %v, %d", got, s.tail.start, tc.chunks, tc.tail)
+			}
+			if want := len(tc.chunks)*chunkBytes + 8*len(tc.blocks); s.bytes() != want {
+				t.Fatalf("bytes = %d, want %d", s.bytes(), want)
+			}
+		})
+	}
+	t.Run("duplicate refs change nothing", func(t *testing.T) {
+		s := mustStore(t, 16, 32)
+		mustAdd(t, s, a[:100])
+		tail, used := s.tail, len(s.chunks[0])
+		for _, dup := range []wire.Block{a[50], disagree(a[60], 0), a[99]} {
+			if s.add(&dup) != nil {
+				t.Fatalf("duplicate of start %d accepted", dup.Start)
+			}
+		}
+		if s.tail != tail || len(s.chunks[0]) != used {
+			t.Fatal("refused add changed the store")
+		}
+		mustAdd(t, s, a[100:]) // the run still shares after the refusals
+		if len(s.chunks[0]) != seqLen {
+			t.Fatalf("chunk holds %d bytes, want %d", len(s.chunks[0]), seqLen)
+		}
+		wantBlocks(t, s, a)
+	})
+}
+
+// FuzzBlockStore adds blocks of three sequences, each in two versions that
+// disagree every 499 residues, in the order the input names them: every
+// three bytes pick a sequence, a version and a start. Every get must return
+// the block first added under its reference, every view taken on add must
+// read the same bytes after all later adds, and bytes must never exceed what
+// the same adds cost with one whole context per block.
+func FuzzBlockStore(f *testing.F) {
+	const blockLen, margin, seqLen = 8, 2000, 5000 // ~16 contexts per chunk
+	cfg := invindex.Config{BlockLen: blockLen, Margin: margin}
+	rng := rand.New(rand.NewSource(8))
+	var versions [3][2][]wire.Block
+	for i := range versions {
+		data := randDNA(rng, seqLen)
+		other := slices.Clone(data)
+		for j := 0; j < seqLen; j += 499 {
+			other[j] = "CAAA"[strings.IndexByte("ACGT", other[j])]
+		}
+		versions[i][0] = toWire(seq.MustNew(seq.ID(i), "ref", seq.DNA, string(data)), cfg)
+		versions[i][1] = toWire(seq.MustNew(seq.ID(i), "ref", seq.DNA, string(other)), cfg)
+	}
+	op := func(pick byte, start int) []byte { return []byte{pick, byte(start >> 8), byte(start)} }
+	var ascending, mixed []byte
+	for start := 0; start < seqLen; start += 150 {
+		ascending = append(ascending, op(0, start)...)
+		mixed = append(mixed, op(byte(start/150%6), start)...)
+	}
+	f.Add(ascending)
+	f.Add(mixed)
+	f.Add(slices.Concat(op(0, 100), op(3, 300), op(0, 500), op(0, 100), op(1, 4000), op(0, 4000)))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := mustStore(t, blockLen, margin)
+		held := make(map[uint64]bool)
+		var added, views []wire.Block
+		oldChunks, oldLast := 0, chunkBytes // the one-context-per-block layout
+		for ; len(ops) >= 3; ops = ops[3:] {
+			blocks := versions[ops[0]%3][ops[0]/3%2]
+			b := blocks[(int(ops[1])<<8|int(ops[2]))%len(blocks)]
+			if err := s.check(&b); err != nil {
+				t.Fatal(err)
+			}
+			ref := invindex.PackRef(b.Seq, b.Start)
+			content := s.add(&b)
+			if (content == nil) != held[ref] {
+				t.Fatalf("add of block seq=%d start=%d: held %v, returned %q", b.Seq, b.Start, held[ref], content)
+			}
+			if content == nil {
+				continue
+			}
+			held[ref] = true
+			view, _ := s.get(ref)
+			added, views = append(added, b), append(views, view)
+			if oldLast+len(b.Context) > chunkBytes {
+				oldChunks, oldLast = oldChunks+1, 0
+			}
+			oldLast += len(b.Context)
+			if old := oldChunks*chunkBytes + 8*len(added); s.bytes() > old {
+				t.Fatalf("bytes = %d after %d blocks, one context per block needs %d", s.bytes(), len(added), old)
+			}
+		}
+		if s.len() != len(added) {
+			t.Fatalf("len = %d, want %d", s.len(), len(added))
+		}
+		wantBlocks(t, s, added)
+		for i, v := range views {
+			if !bytes.Equal(v.Context, added[i].Context) || !bytes.Equal(v.Content, added[i].Content) {
+				t.Fatalf("view of block seq=%d start=%d changed by later adds", v.Seq, v.Start)
+			}
+		}
+	})
 }
 
 func TestBlockStoreViewsSurviveGrowth(t *testing.T) {
@@ -279,15 +452,22 @@ func TestViewsReadableWhileWriterAdds(t *testing.T) {
 	}
 }
 
-// hotFrames returns n synthetic stride-1 protein-geometry blocks (16-residue
-// blocks, 32-residue margins, 400-residue sequences) as the payloads the
-// coordinator's ingest sends: wire.AppendHot frames of perFrame staged blocks.
+// hotFrames returns n synthetic protein-geometry blocks (16-residue blocks,
+// 32-residue margins, 400-residue sequences) as the payloads the
+// coordinator's ingest sends to one node: wire.AppendHot frames of perFrame
+// staged blocks. Of each sequence's stride-1 blocks it keeps the one in 20 a
+// 20-node ring would place on one node, so neighbouring blocks are as far
+// apart, and share as much context, as on a node of the default cluster.
 func hotFrames(tb testing.TB, n, perFrame int) [][]byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(6))
 	var blocks []wire.Block
 	for id := seq.ID(1); len(blocks) < n; id++ {
-		blocks = append(blocks, wireBlocks(rng, id, 400, invindex.DefaultConfig)...)
+		for _, b := range wireBlocks(rng, id, 400, invindex.DefaultConfig) {
+			if dht.KeyHash(b.Content)%20 == 0 {
+				blocks = append(blocks, b)
+			}
+		}
 	}
 	blocks = blocks[:n]
 	var frames [][]byte

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mendel/internal/invindex"
@@ -94,7 +95,11 @@ func TestSnapshotIsReproducible(t *testing.T) {
 	refs := []string{"ACGTACGTGGCCTTAAGGCCTTACGTACGT", "TTGACCAGTAGGCATCGATCGGATCAGTTA", "GGATCCATTTGCAGGCATACGATTACAGGA"}
 	for i, ref := range refs {
 		id := seq.ID(9 - 3*i) // descending: ingest order is not save order
-		if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: blocksFor(t, id, ref, 8)}); err != nil {
+		blocks := blocksFor(t, id, ref, 8)
+		if i == 1 {
+			slices.Reverse(blocks) // descending starts share next to nothing
+		}
+		if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: blocks}); err != nil {
 			t.Fatal(err)
 		}
 		store.IDs = append(store.IDs, id)
@@ -129,6 +134,10 @@ func TestSnapshotIsReproducible(t *testing.T) {
 	}
 	if !bytes.Equal(save(restored), first) {
 		t.Fatal("save, load, save changed the snapshot")
+	}
+	// LoadFrom adds in reference order, so every sequence's blocks share.
+	if got, saved := chunkBytesUsed(&restored.blocks), chunkBytesUsed(&n.blocks); got > saved {
+		t.Fatalf("restored node holds %d chunk bytes, the saved one %d", got, saved)
 	}
 	params := wire.DefaultParams()
 	params.Matrix = "DNA"
