@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -31,13 +32,17 @@ type blockLoc struct {
 // is never reallocated or rewritten below its length, so a view returned by
 // add or get stays valid for ever, also after the node lock is released.
 // Content is a view into the context, and Seq and Start are the packed
-// reference that keys the index — the only per-block state besides the bytes
-// is an 8-byte blockLoc. Blocks of one sequence added in ascending order
-// share the residues their contexts overlap: see add. Guarded by Node.mu.
+// reference that keys the directory: sealed references ascending with their
+// 8-byte blockLocs at the same index of locs, plus recent, the blocks added
+// since the last seal (nil when none). Blocks of one sequence added in
+// ascending order share the residues their contexts overlap: see add.
+// Guarded by Node.mu.
 type blockStore struct {
 	blockLen, maxCtx int
 	chunks           [][]byte
-	index            map[uint64]blockLoc
+	sealed           []uint64
+	locs             []blockLoc
+	recent           map[uint64]blockLoc
 	tail             span
 }
 
@@ -53,14 +58,56 @@ func newBlockStore(blockLen, margin int) (blockStore, error) {
 	if blockLen <= 0 || margin < 0 || maxCtx > math.MaxUint16 {
 		return blockStore{}, fmt.Errorf("bad block geometry: length %d, margin %d", blockLen, margin)
 	}
-	return blockStore{blockLen: blockLen, maxCtx: maxCtx, index: make(map[uint64]blockLoc)}, nil
+	return blockStore{blockLen: blockLen, maxCtx: maxCtx}, nil
 }
 
-func (s *blockStore) len() int { return len(s.index) }
+func (s *blockStore) len() int { return len(s.sealed) + len(s.recent) }
 
 // bytes is the memory the store holds for its blocks: chunk capacity plus
-// the per-block locators (the index's own hashing overhead not counted).
-func (s *blockStore) bytes() int { return len(s.chunks)*chunkBytes + len(s.index)*8 }
+// 16 bytes of directory per block (recent's hashing overhead not counted).
+func (s *blockStore) bytes() int { return len(s.chunks)*chunkBytes + 16*s.len() }
+
+// lookup binary-searches the sorted arrays for ref, then checks recent.
+func (s *blockStore) lookup(ref uint64) (blockLoc, bool) {
+	if i, ok := slices.BinarySearch(s.sealed, ref); ok {
+		return s.locs[i], true
+	}
+	loc, ok := s.recent[ref]
+	return loc, ok
+}
+
+// seal merges recent into the sorted arrays once it holds at least an eighth
+// as many blocks as they do: a bulk load seals once, and a single write does
+// not copy the whole directory.
+func (s *blockStore) seal() {
+	if len(s.recent) > 0 && 8*len(s.recent) >= len(s.sealed) {
+		s.sealed, s.locs = s.merged()
+		s.recent = nil
+	}
+}
+
+// merged returns the directory with recent merged in, as fresh arrays of
+// exact length.
+func (s *blockStore) merged() ([]uint64, []blockLoc) {
+	type entry struct {
+		ref uint64
+		loc blockLoc
+	}
+	add := make([]entry, 0, len(s.recent))
+	for ref, loc := range s.recent {
+		add = append(add, entry{ref, loc})
+	}
+	slices.SortFunc(add, func(a, b entry) int { return cmp.Compare(a.ref, b.ref) })
+	refs, locs := make([]uint64, 0, s.len()), make([]blockLoc, 0, s.len())
+	i := 0 // s.sealed[:i] is copied
+	for _, e := range add {
+		j, _ := slices.BinarySearch(s.sealed[i:], e.ref)
+		refs = append(append(refs, s.sealed[i:i+j]...), e.ref)
+		locs = append(append(locs, s.locs[i:i+j]...), e.loc)
+		i += j
+	}
+	return append(refs, s.sealed[i:]...), append(locs, s.locs[i:]...)
+}
 
 // check rejects a block the store cannot hold or a search could not extend:
 // everything get and align.ExtendUngapped later index without looking.
@@ -95,7 +142,7 @@ func (s *blockStore) room(n int) bool {
 // and becomes the new tail span.
 func (s *blockStore) add(b *wire.Block) []byte {
 	ref := invindex.PackRef(b.Seq, b.Start)
-	if _, dup := s.index[ref]; dup {
+	if _, dup := s.lookup(ref); dup {
 		return nil
 	}
 	lo := b.Start - b.CtxOff // the context's first residue in its sequence
@@ -113,7 +160,10 @@ func (s *blockStore) add(b *wire.Block) []byte {
 		t.end = hi
 	}
 	loc := blockLoc{pos: uint32(last<<chunkShift | (t.off + lo - t.start)), ctxLen: uint16(len(b.Context)), ctxOff: uint16(b.CtxOff)}
-	s.index[ref] = loc
+	if s.recent == nil {
+		s.recent = make(map[uint64]blockLoc)
+	}
+	s.recent[ref] = loc
 	return s.view(ref, loc).Content
 }
 
@@ -133,7 +183,7 @@ func (s *blockStore) shares(b *wire.Block, lo, hi int) bool {
 }
 
 func (s *blockStore) get(ref uint64) (wire.Block, bool) {
-	loc, ok := s.index[ref]
+	loc, ok := s.lookup(ref)
 	if !ok {
 		return wire.Block{}, false
 	}
@@ -152,10 +202,6 @@ func (s *blockStore) view(ref uint64, loc blockLoc) wire.Block {
 // refs returns every held reference in ascending order, the order snapshots
 // and manifests are written in.
 func (s *blockStore) refs() []uint64 {
-	refs := make([]uint64, 0, len(s.index))
-	for ref := range s.index {
-		refs = append(refs, ref)
-	}
-	slices.Sort(refs)
+	refs, _ := s.merged()
 	return refs
 }

@@ -12,10 +12,11 @@ import (
 // entry and the vp-tree's copy of the key. A map[uint64]wire.Block whose
 // slices pinned the request frames held about 270 B here; the block store
 // with one whole context per block about 145 B; sharing contexts along a
-// sequence about 89 B. (Not under -race: the detector's shadow memory and
+// sequence about 89 B; a sorted directory in place of the map and 80-byte
+// vertices about 73 B. (Not under -race: the detector's shadow memory and
 // allocator change the accounting.)
 func TestResidentBytesPerBlock(t *testing.T) {
-	const blocks, budget = 20000, 103
+	const blocks, budget = 20000, 84
 	frames := hotFrames(t, blocks, 4096)
 	heap := func() uint64 {
 		runtime.GC()

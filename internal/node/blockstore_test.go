@@ -119,7 +119,7 @@ func TestBlockStoreChunkRollOver(t *testing.T) {
 			t.Fatalf("margin %d: %d chunks after %d blocks, want 3", margin, len(s.chunks), len(full))
 		}
 		wantBlocks(t, s, full)
-		if want := 3*chunkBytes + 8*len(full); s.bytes() != want {
+		if want := 3*chunkBytes + 16*len(full); s.bytes() != want {
 			t.Fatalf("margin %d: bytes = %d, want %d", margin, s.bytes(), want)
 		}
 	}
@@ -195,7 +195,7 @@ func TestBlockStoreSharesSpans(t *testing.T) {
 			if !slices.Equal(got, tc.chunks) || s.tail.start != tc.tail {
 				t.Fatalf("chunks hold %v bytes, tail span from %d; want %v, %d", got, s.tail.start, tc.chunks, tc.tail)
 			}
-			if want := len(tc.chunks)*chunkBytes + 8*len(tc.blocks); s.bytes() != want {
+			if want := len(tc.chunks)*chunkBytes + 16*len(tc.blocks); s.bytes() != want {
 				t.Fatalf("bytes = %d, want %d", s.bytes(), want)
 			}
 		})
@@ -222,10 +222,12 @@ func TestBlockStoreSharesSpans(t *testing.T) {
 
 // FuzzBlockStore adds blocks of three sequences, each in two versions that
 // disagree every 499 residues, in the order the input names them: every
-// three bytes pick a sequence, a version and a start. Every get must return
+// three bytes pick a sequence, a version and a start, and the first byte's
+// high bit seals the directory before the add. After every seal the store
+// must hold exactly the blocks of a plain-map model, every get must return
 // the block first added under its reference, every view taken on add must
-// read the same bytes after all later adds, and bytes must never exceed what
-// the same adds cost with one whole context per block.
+// read the same bytes after all later adds and seals, and bytes must never
+// exceed what the same adds cost with one whole context per block.
 func FuzzBlockStore(f *testing.F) {
 	const blockLen, margin, seqLen = 8, 2000, 5000 // ~16 contexts per chunk
 	cfg := invindex.Config{BlockLen: blockLen, Margin: margin}
@@ -241,54 +243,153 @@ func FuzzBlockStore(f *testing.F) {
 		versions[i][1] = toWire(seq.MustNew(seq.ID(i), "ref", seq.DNA, string(other)), cfg)
 	}
 	op := func(pick byte, start int) []byte { return []byte{pick, byte(start >> 8), byte(start)} }
-	var ascending, mixed []byte
+	var ascending, mixed, sealing []byte
 	for start := 0; start < seqLen; start += 150 {
 		ascending = append(ascending, op(0, start)...)
 		mixed = append(mixed, op(byte(start/150%6), start)...)
+		// Every fourth op seals; starts hop across the sequence.
+		sealing = append(sealing, op(byte(start/150%6)|byte(start/150%4/3)<<7, (start*7)%seqLen)...)
 	}
 	f.Add(ascending)
 	f.Add(mixed)
-	f.Add(slices.Concat(op(0, 100), op(3, 300), op(0, 500), op(0, 100), op(1, 4000), op(0, 4000)))
+	f.Add(sealing)
+	f.Add(slices.Concat(op(0, 100), op(3, 300), op(0x80, 500), op(0, 100), op(1, 4000), op(0x80, 4000)))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		s := mustStore(t, blockLen, margin)
-		held := make(map[uint64]bool)
+		model := make(map[uint64]wire.Block)
 		var added, views []wire.Block
 		oldChunks, oldLast := 0, chunkBytes // the one-context-per-block layout
 		for ; len(ops) >= 3; ops = ops[3:] {
-			blocks := versions[ops[0]%3][ops[0]/3%2]
+			if ops[0]&0x80 != 0 {
+				s.seal()
+				wantHeld(t, s, model)
+			}
+			pick := ops[0] & 0x7f
+			blocks := versions[pick%3][pick/3%2]
 			b := blocks[(int(ops[1])<<8|int(ops[2]))%len(blocks)]
 			if err := s.check(&b); err != nil {
 				t.Fatal(err)
 			}
 			ref := invindex.PackRef(b.Seq, b.Start)
 			content := s.add(&b)
-			if (content == nil) != held[ref] {
-				t.Fatalf("add of block seq=%d start=%d: held %v, returned %q", b.Seq, b.Start, held[ref], content)
+			if _, held := model[ref]; (content == nil) != held {
+				t.Fatalf("add of block seq=%d start=%d: held %v, returned %q", b.Seq, b.Start, held, content)
 			}
 			if content == nil {
 				continue
 			}
-			held[ref] = true
+			model[ref] = b
 			view, _ := s.get(ref)
 			added, views = append(added, b), append(views, view)
 			if oldLast+len(b.Context) > chunkBytes {
 				oldChunks, oldLast = oldChunks+1, 0
 			}
 			oldLast += len(b.Context)
-			if old := oldChunks*chunkBytes + 8*len(added); s.bytes() > old {
+			if old := oldChunks*chunkBytes + 16*len(added); s.bytes() > old {
 				t.Fatalf("bytes = %d after %d blocks, one context per block needs %d", s.bytes(), len(added), old)
 			}
 		}
-		if s.len() != len(added) {
-			t.Fatalf("len = %d, want %d", s.len(), len(added))
-		}
-		wantBlocks(t, s, added)
+		wantHeld(t, s, model)
 		for i, v := range views {
 			if !bytes.Equal(v.Context, added[i].Context) || !bytes.Equal(v.Content, added[i].Content) {
 				t.Fatalf("view of block seq=%d start=%d changed by later adds", v.Seq, v.Start)
 			}
 		}
 	})
+}
+
+// wantHeld asserts that the store holds exactly the model's blocks: as many,
+// refs lists their references ascending, and get returns each as given.
+func wantHeld(t *testing.T, s *blockStore, model map[uint64]wire.Block) {
+	t.Helper()
+	refs := make([]uint64, 0, len(model))
+	blocks := make([]wire.Block, 0, len(model))
+	for ref, b := range model {
+		refs, blocks = append(refs, ref), append(blocks, b)
+	}
+	slices.Sort(refs)
+	if s.len() != len(model) || !slices.Equal(s.refs(), refs) {
+		t.Fatalf("store holds %d blocks, refs %v; want %d, %v", s.len(), s.refs(), len(model), refs)
+	}
+	wantBlocks(t, s, blocks)
+}
+
+// TestBlockDirectory drives the directory through a node: a bulk build seals
+// it, six-block writes stay in recent until recent reaches an eighth of it,
+// duplicates are refused from either half, and neither a seal nor a snapshot
+// reload changes what the store returns.
+func TestBlockDirectory(t *testing.T) {
+	_, nodes, _ := testCluster(t, 1, 16)
+	n, ctx := nodes[0], context.Background()
+	s := &n.blocks
+	rng := rand.New(rand.NewSource(9))
+	cfg := invindex.Config{BlockLen: 16, Margin: 8}
+	// Writes come from sequence 2, so their refs fall between the bulk load's.
+	bulk := slices.Concat(wireBlocks(rng, 1, 200, cfg), wireBlocks(rng, 3, 200, cfg))
+	writes := wireBlocks(rng, 2, 200, cfg)
+	model := make(map[uint64]wire.Block)
+	write := func(to *Node, blocks []wire.Block, stage bool) (accepted int) {
+		t.Helper()
+		resp, err := to.Handle(ctx, wire.IndexBlocks{Blocks: blocks, Stage: stage})
+		if err == nil && stage {
+			_, err = to.Handle(ctx, wire.BuildIndex{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			if ref := invindex.PackRef(b.Seq, b.Start); model[ref].Context == nil {
+				model[ref] = b
+			}
+		}
+		return resp.(wire.IndexBlocksAck).Accepted
+	}
+	wantState := func(s *blockStore, sealed, recent int) {
+		t.Helper()
+		if len(s.sealed) != sealed || len(s.recent) != recent || (recent == 0) != (s.recent == nil) {
+			t.Fatalf("%d sealed and %d recent blocks, want %d and %d", len(s.sealed), len(s.recent), sealed, recent)
+		}
+	}
+
+	write(n, bulk, true)
+	wantState(s, len(bulk), 0)
+	i := 0
+	for ; 8*(i+6) < len(bulk); i += 6 {
+		write(n, writes[i:i+6], true)
+		wantState(s, len(bulk), i+6)
+	}
+	wantHeld(t, s, model)
+	for _, dup := range []wire.Block{bulk[5], writes[3]} { // sealed, recent
+		if write(n, []wire.Block{dup}, true) != 0 {
+			t.Fatalf("duplicate of seq=%d start=%d accepted", dup.Seq, dup.Start)
+		}
+	}
+	var views []wire.Block
+	for _, ref := range s.refs() {
+		v, _ := s.get(ref)
+		views = append(views, v)
+	}
+	write(n, writes[i:i+6], true) // recent reaches an eighth: seals
+	wantState(s, len(bulk)+i+6, 0)
+	wantBlocks(t, s, views)
+	wantHeld(t, s, model)
+
+	write(n, writes[i+6:i+12], true)
+	wantState(s, len(bulk)+i+6, 6)
+	var snap bytes.Buffer
+	if err := n.SaveTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded := New("n0", transport.NewMemNetwork())
+	if err := loaded.LoadFrom(&snap); err != nil {
+		t.Fatal(err)
+	}
+	wantState(&loaded.blocks, len(model), 0)
+	wantHeld(t, &loaded.blocks, model)
+	// The unstaged branch seals too, here past the eighth in one write.
+	write(loaded, writes[i+12:], false)
+	wantState(&loaded.blocks, len(model), 0)
+	wantHeld(t, &loaded.blocks, model)
 }
 
 func TestBlockStoreViewsSurviveGrowth(t *testing.T) {

@@ -7,9 +7,10 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,6 +268,7 @@ func (n *Node) indexBlocks(r wire.IndexBlocks) (any, error) {
 	// Batched insertion into the local dynamic vp-tree (§III-D's middle
 	// ground between per-element inserts and full rebuilds).
 	n.tree.InsertBatch(items)
+	n.blocks.seal()
 	return wire.IndexBlocksAck{Accepted: len(items)}, nil
 }
 
@@ -306,12 +308,13 @@ func (n *Node) buildIndex() (any, error) {
 	if !n.booted {
 		return nil, fmt.Errorf("node %s: not bootstrapped", n.addr)
 	}
+	n.blocks.seal()
 	staged := n.staged
 	n.staged = nil
 	if len(staged) == 0 {
 		return wire.BuildIndexAck{}, nil
 	}
-	sort.Slice(staged, func(i, j int) bool { return staged[i].Ref < staged[j].Ref })
+	slices.SortFunc(staged, func(a, b vptree.Item) int { return cmp.Compare(a.Ref, b.Ref) })
 	n.tree.InsertBatch(staged)
 	return wire.BuildIndexAck{Items: len(staged)}, nil
 }
@@ -348,16 +351,8 @@ func (n *Node) fetchRegion(ctx context.Context, r wire.FetchRegion) (any, error)
 		n.reg.Counter("node_fetch_region_misses").Inc()
 		return nil, fmt.Errorf("node %s: sequence %d not stored here", n.addr, r.Seq)
 	}
-	start, end := r.Start, r.End
-	if start < 0 {
-		start = 0
-	}
-	if end > len(s.data) {
-		end = len(s.data)
-	}
-	if start > end {
-		start = end
-	}
+	start := min(max(r.Start, 0), len(s.data))
+	end := min(max(r.End, start), len(s.data))
 	data := make([]byte, end-start)
 	copy(data, s.data[start:end])
 	n.reg.Histogram("node_fetch_region_ns").Observe(time.Since(began).Nanoseconds())

@@ -154,7 +154,7 @@ func TestIndexBlocksAndStats(t *testing.T) {
 	if stats.Residues != len(blocks)*8 {
 		t.Fatalf("residues = %d", stats.Residues)
 	}
-	if h := n.Health(); h.Blocks != len(blocks) || h.BlockBytes != chunkBytes+8*len(blocks) {
+	if h := n.Health(); h.Blocks != len(blocks) || h.BlockBytes != chunkBytes+16*len(blocks) {
 		t.Fatalf("health = %+v, want %d blocks in one chunk", h, len(blocks))
 	}
 }
@@ -196,12 +196,43 @@ func TestSequenceRepository(t *testing.T) {
 	if len(resp.(wire.Region).Data) != 0 {
 		t.Fatal("inverted range should be empty")
 	}
+	// A negative End used to slice [:-1] and panic the node.
+	resp, err = n.Handle(ctx, wire.FetchRegion{Seq: 7, Start: 2, End: -1})
+	if err != nil || len(resp.(wire.Region).Data) != 0 {
+		t.Fatalf("negative end: %+v, %v", resp, err)
+	}
 	if _, err := n.Handle(ctx, wire.FetchRegion{Seq: 99}); err == nil {
 		t.Fatal("missing sequence fetch accepted")
 	}
 	if _, err := n.Handle(ctx, wire.StoreSequences{IDs: []seq.ID{1}}); err == nil {
 		t.Fatal("malformed store accepted")
 	}
+}
+
+// FuzzFetchRegion: no (Start, End) pair panics the node, and every reply is
+// the stored sequence's slice between Start clipped to it and End clipped to
+// [Start, length].
+func FuzzFetchRegion(f *testing.F) {
+	const data = "ACGTACGTAC"
+	for _, r := range [][2]int{{2, 6}, {-5, 99}, {8, 3}, {2, -1}, {-3, -1}, {10, 10}, {11, 12}} {
+		f.Add(r[0], r[1])
+	}
+	n := New("solo", transport.NewMemNetwork())
+	ctx := context.Background()
+	if _, err := n.Handle(ctx, wire.StoreSequences{IDs: []seq.ID{7}, Names: []string{"chr7"}, Data: [][]byte{[]byte(data)}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, start, end int) {
+		resp, err := n.Handle(ctx, wire.FetchRegion{Seq: 7, Start: start, End: end})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := min(max(start, 0), len(data))
+		hi := min(max(end, lo), len(data))
+		if r := resp.(wire.Region); r.Start != lo || string(r.Data) != data[lo:hi] || r.Len != len(data) {
+			t.Fatalf("FetchRegion [%d, %d) = %+v, want %q from %d", start, end, r, data[lo:hi], lo)
+		}
+	})
 }
 
 func TestLocalSearchFindsExactSegment(t *testing.T) {

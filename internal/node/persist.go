@@ -1,10 +1,11 @@
 package node
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"mendel/internal/metric"
 	"mendel/internal/seq"
@@ -123,8 +124,9 @@ func (n *Node) LoadFrom(r io.Reader) error {
 	}
 	// Snapshots written before saves were ordered list blocks in map order;
 	// sorting keeps the rebuilt tree a function of the block set alone.
-	sort.Slice(items, func(i, j int) bool { return items[i].Ref < items[j].Ref })
+	slices.SortFunc(items, func(a, b vptree.Item) int { return cmp.Compare(a.Ref, b.Ref) })
 	n.tree = vptree.Build(met, 0, 1, items)
+	n.blocks.seal()
 	for i, id := range snap.SeqIDs {
 		n.seqs[id] = storedSeq{name: snap.SeqNames[i], data: snap.SeqData[i]}
 	}

@@ -124,7 +124,7 @@ type HealthInfo struct {
 	Booted bool   `json:"booted"`
 	Blocks int    `json:"blocks"`
 	// BlockBytes is the memory the block store holds for Blocks: context
-	// chunks plus per-block locators, computed from the layout.
+	// chunks plus 16 bytes of directory per block, computed from the layout.
 	BlockBytes int `json:"block_bytes"`
 	Sequences  int `json:"sequences"`
 	TreeSize   int `json:"tree_size"`

@@ -73,7 +73,7 @@ func nextInsertCase(t *Tree, it Item) int {
 	n := t.root
 	for n.refs == nil {
 		path = append(path, n)
-		if t.metric.Distance(n.vantage, it.Key) <= n.mu {
+		if t.metric.Distance(n.keys, it.Key) <= int(n.mu) {
 			n = n.left
 		} else {
 			n = n.right
@@ -83,7 +83,7 @@ func nextInsertCase(t *Tree, it Item) int {
 		return 1
 	}
 	for i := len(path) - 1; i >= 0; i-- {
-		if path[i].count+1 <= t.capacity(path[i].height) {
+		if int(path[i].count)+1 <= t.capacity(int(path[i].height)) {
 			if i == len(path)-1 {
 				return 2
 			}

@@ -32,7 +32,7 @@ func (t *Tree) Insert(it Item) {
 	n := t.root
 	for n.refs == nil {
 		path = append(path, n)
-		if t.metric.Distance(n.vantage, it.Key) <= n.mu {
+		if t.metric.Distance(n.keys, it.Key) <= int(n.mu) {
 			n = n.left
 		} else {
 			n = n.right
@@ -50,14 +50,14 @@ func (t *Tree) Insert(it Item) {
 	// Cases 2-3: lowest ancestor (parent first) whose subtree has room.
 	for i := len(path) - 1; i >= 0; i-- {
 		a := path[i]
-		if a.count+1 <= t.capacity(a.height) {
+		if int(a.count)+1 <= t.capacity(int(a.height)) {
 			*a = *t.build(t.collectWith(a, it))
 			// Fix counts and heights on the remaining path (leaf-ward
 			// ancestors first so heights propagate upward correctly).
 			for j := i - 1; j >= 0; j-- {
 				p := path[j]
 				p.count++
-				p.height = 1 + maxInt(subHeight(p.left), subHeight(p.right))
+				p.height = 1 + max(subHeight(p.left), subHeight(p.right))
 			}
 			t.size++
 			return
@@ -109,7 +109,7 @@ func (t *Tree) capacity(height int) int {
 func (t *Tree) collectWith(n *node, extra ...Item) slab {
 	count := 0
 	if n != nil {
-		count = n.count
+		count = int(n.count)
 	} else if t.size == 0 && len(extra) > 0 {
 		t.stride = len(extra[0].Key)
 	}

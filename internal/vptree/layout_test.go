@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mendel/internal/metric"
 	"mendel/internal/seq"
@@ -138,5 +139,14 @@ func TestKeyLengthMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestVertexSize keeps a vertex in the 80-byte allocation class: at 81 bytes
+// or more the allocator hands each one 96 or 112, and every vertex of every
+// node's tree pays it.
+func TestVertexSize(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size > 80 {
+		t.Fatalf("vertex is %d bytes, budget 80", size)
 	}
 }

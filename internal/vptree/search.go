@@ -170,18 +170,18 @@ func (s *Searcher) visit(n *node) {
 	}
 	s.remaining--
 	s.visits++
-	d := s.distance(n.vantage)
-	if d <= n.mu {
+	d, mu := s.distance(n.keys), int(n.mu)
+	if d <= mu {
 		// Query inside the vantage ball: left first, and the right
 		// subtree only if the tau-ball crosses the boundary
 		// (case 3 of §III-C; cases 1 and 2 are the prunes).
 		s.visit(n.left)
-		if d+s.tau > n.mu || len(s.heap) < s.k {
+		if d+s.tau > mu || len(s.heap) < s.k {
 			s.visit(n.right)
 		}
 	} else {
 		s.visit(n.right)
-		if d-s.tau <= n.mu || len(s.heap) < s.k {
+		if d-s.tau <= mu || len(s.heap) < s.k {
 			s.visit(n.left)
 		}
 	}

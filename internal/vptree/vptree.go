@@ -60,14 +60,15 @@ type slab struct {
 	refs []uint64
 }
 
+// node is a vertex. A leaf holds its items in slab; an internal vertex holds
+// its routing vantage point (a copy of an item key) in slab.keys and nil refs,
+// so refs is non-nil iff leaf. The int32 fields keep a vertex at 76 bytes, in
+// the 80-byte allocation class (TestVertexSize); a count of 2^31 items is far
+// past what a node's heap holds.
 type node struct {
-	vantage []byte // routing vantage point (copy of an item key)
-	mu      int
-	left    *node
-	right   *node
-	slab        // refs non-nil iff leaf
-	count   int // items in this subtree
-	height  int // leaf = 0
+	left, right *node
+	slab
+	mu, count, height int32 // count: items in the subtree; height: leaf = 0
 }
 
 // newSlab returns an empty slab with room for n keys of the tree's length.
@@ -135,7 +136,7 @@ func (t *Tree) Height() int {
 	if t.root == nil {
 		return 0
 	}
-	return t.root.height
+	return int(t.root.height)
 }
 
 // Leaves returns the number of leaf buckets.
@@ -207,7 +208,7 @@ func (t *Tree) buildSeeded(items, spare slab, inArena bool, seed int64, lim buil
 			copy(spare.refs, items.refs)
 			items = spare
 		}
-		return &node{slab: items, count: count}
+		return &node{slab: items, count: int32(count)}
 	}
 	if count <= t.bucketCap {
 		return leaf()
@@ -237,11 +238,7 @@ func (t *Tree) buildSeeded(items, spare slab, inArena bool, seed int64, lim buil
 		*at++
 	}
 	leftSeed, rightSeed := rng.Int63(), rng.Int63()
-	n := &node{
-		vantage: append([]byte(nil), vantage...),
-		mu:      mu,
-		count:   count,
-	}
+	n := &node{slab: slab{keys: append([]byte(nil), vantage...)}, mu: int32(mu), count: int32(count)}
 	buildLeft := func() {
 		n.left = t.buildSeeded(spare.slice(0, nLeft, t.stride), items.slice(0, nLeft, t.stride), !inArena, leftSeed, lim)
 	}
@@ -258,7 +255,7 @@ func (t *Tree) buildSeeded(items, spare slab, inArena bool, seed int64, lim buil
 	}
 	n.right = t.buildSeeded(spare.slice(nLeft, count, t.stride), items.slice(nLeft, count, t.stride), !inArena, rightSeed, lim)
 	wg.Wait()
-	n.height = 1 + maxInt(subHeight(n.left), subHeight(n.right))
+	n.height = 1 + max(subHeight(n.left), subHeight(n.right))
 	return n
 }
 
@@ -316,18 +313,11 @@ func (t *Tree) medianDistance(dist []int) (mu, nLeft int) {
 	return mu, nLeft
 }
 
-func subHeight(n *node) int {
+func subHeight(n *node) int32 {
 	if n == nil {
 		return -1
 	}
 	return n.height
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // selectVantage picks a vantage point by sampling a few candidates and
@@ -376,19 +366,19 @@ func (t *Tree) checkInvariants() error {
 			if n.left != nil || n.right != nil {
 				return 0, fmt.Errorf("vptree: leaf with children")
 			}
-			if n.count != len(n.refs) {
+			if int(n.count) != len(n.refs) {
 				return 0, fmt.Errorf("vptree: leaf count %d != refs %d", n.count, len(n.refs))
 			}
-			if len(n.keys) != n.count*t.stride {
+			if len(n.keys) != int(n.count)*t.stride {
 				return 0, fmt.Errorf("vptree: leaf slab %d bytes != %d keys x stride %d", len(n.keys), n.count, t.stride)
 			}
-			return n.count, nil
+			return int(n.count), nil
 		}
 		if n.left == nil || n.right == nil {
 			return 0, fmt.Errorf("vptree: internal node missing a child")
 		}
-		if n.keys != nil || len(n.vantage) != t.stride {
-			return 0, fmt.Errorf("vptree: internal node with a slab or a %d-byte vantage (stride %d)", len(n.vantage), t.stride)
+		if len(n.keys) != t.stride {
+			return 0, fmt.Errorf("vptree: internal node with a %d-byte vantage (stride %d)", len(n.keys), t.stride)
 		}
 		lc, err := walk(n.left)
 		if err != nil {
@@ -398,10 +388,10 @@ func (t *Tree) checkInvariants() error {
 		if err != nil {
 			return 0, err
 		}
-		if n.count != lc+rc {
+		if int(n.count) != lc+rc {
 			return 0, fmt.Errorf("vptree: count %d != %d+%d", n.count, lc, rc)
 		}
-		if want := 1 + maxInt(subHeight(n.left), subHeight(n.right)); n.height != want {
+		if want := 1 + max(subHeight(n.left), subHeight(n.right)); n.height != want {
 			return 0, fmt.Errorf("vptree: height %d != %d", n.height, want)
 		}
 		var check func(m *node, left bool) error
@@ -411,7 +401,7 @@ func (t *Tree) checkInvariants() error {
 			}
 			if m.refs != nil {
 				for i := range m.refs {
-					d := t.metric.Distance(n.vantage, m.key(i, t.stride))
+					d := int32(t.metric.Distance(n.keys, m.key(i, t.stride)))
 					if left && d > n.mu {
 						return fmt.Errorf("vptree: left item at distance %d > mu %d", d, n.mu)
 					}
@@ -432,7 +422,7 @@ func (t *Tree) checkInvariants() error {
 		if err := check(n.right, false); err != nil {
 			return 0, err
 		}
-		return n.count, nil
+		return int(n.count), nil
 	}
 	count, err := walk(t.root)
 	if err != nil {
