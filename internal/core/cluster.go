@@ -97,10 +97,7 @@ func NewCluster(cfg Config, caller transport.Caller, groups [][]string) (*Cluste
 	if err != nil {
 		return nil, err
 	}
-	seqRing := dht.NewRing(0)
-	for _, n := range topo.AllNodes() {
-		seqRing.Add(n)
-	}
+	seqRing := dht.NewRing(0, topo.AllNodes()...)
 	return &Cluster{
 		cfg:           cfg,
 		caller:        caller,

@@ -273,6 +273,20 @@ func (c *Cluster) sendBlocks(ctx context.Context, node string, blocks []wire.Blo
 	return nil
 }
 
+// shipBatchCap is the capacity a fragmentation worker gives each per-node
+// batch: the write's block copies spread evenly over the nodes, a quarter
+// more for uneven groups, and never past a full batch. A bulk write fills its
+// batches without regrowing them, and a single-sequence write allocates for
+// its own few blocks, not for indexBatchBlocks.
+func shipBatchCap(set *seq.Set, blockCfg invindex.Config, replicas, nodes int) int {
+	blocks := 0
+	for _, s := range set.Seqs {
+		blocks += invindex.BlockCount(s.Len(), blockCfg.BlockLen)
+	}
+	perNode := blocks * replicas / max(nodes, 1)
+	return min(indexBatchBlocks, perNode+perNode/4+1)
+}
+
 // shipBlocks is the ingest pipeline: one fragmentation worker per core
 // (GOMAXPROCS; a one-core host runs the same pipeline with one worker) pulls
 // whole sequences from a feed, fragments them into blocks and hashes each
@@ -322,6 +336,7 @@ func (c *Cluster) shipBlocks(ctx context.Context, set *seq.Set, base seq.ID, blo
 	}
 
 	replicas := c.cfg.replicas()
+	batchCap := shipBatchCap(set, blockCfg, replicas, len(nodes))
 	seqCh := make(chan *seq.Sequence)
 	var frags sync.WaitGroup
 	for range workers {
@@ -347,17 +362,22 @@ func (c *Cluster) shipBlocks(ctx context.Context, set *seq.Set, base seq.ID, blo
 						if w.fold {
 							placed = append(placed, placement{group, b.Content})
 						}
-						pending[node] = append(pending[node], wire.Block{
+						batch := pending[node]
+						if batch == nil {
+							batch = make([]wire.Block, 0, batchCap)
+						}
+						batch = append(batch, wire.Block{
 							Seq:     gid,
 							Start:   b.Start,
 							Content: b.Content,
 							Context: b.Context,
 							CtxOff:  b.CtxOff,
 						})
-						if len(pending[node]) >= indexBatchBlocks {
-							emit(node, pending[node])
-							pending[node] = nil
+						if len(batch) >= indexBatchBlocks {
+							emit(node, batch)
+							batch = nil
 						}
+						pending[node] = batch
 					}
 				}
 			}

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"mendel/internal/invindex"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
 )
@@ -149,5 +152,32 @@ func TestIngestParallelGrowsDatabase(t *testing.T) {
 		if !found {
 			t.Fatalf("exact fragment of global sequence %d not found after growth (%d hits)", tc.gid, len(hits))
 		}
+	}
+}
+
+// TestShipBatchCapFollowsTheWrite pins the per-node batch capacity: a
+// single-sequence write sizes its batches for its own few blocks, and a bulk
+// write gets full batches, never more.
+func TestShipBatchCapFollowsTheWrite(t *testing.T) {
+	cfg := invindex.DefaultConfig
+	one := seq.NewSet(seq.Protein)
+	if _, err := one.Add("q", bytes.Repeat([]byte("A"), 300)); err != nil {
+		t.Fatal(err)
+	}
+	blocks := 300 - cfg.BlockLen + 1
+	if got, want := shipBatchCap(one, cfg, 1, 20), blocks/20+blocks/20/4+1; got != want {
+		t.Fatalf("one 300-residue sequence over 20 nodes: cap %d, want %d", got, want)
+	}
+	if got := shipBatchCap(one, cfg, 2, 1); got != min(indexBatchBlocks, 2*blocks+2*blocks/4+1) {
+		t.Fatalf("two replicas on one node: cap %d", got)
+	}
+	bulk := seq.NewSet(seq.Protein)
+	for i := 0; i < 400; i++ {
+		if _, err := bulk.Add(fmt.Sprint("s", i), bytes.Repeat([]byte("A"), 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := shipBatchCap(bulk, cfg, 1, 20); got != indexBatchBlocks {
+		t.Fatalf("bulk write: cap %d, want a full batch %d", got, indexBatchBlocks)
 	}
 }

@@ -82,10 +82,7 @@ func LoadManifest(r io.Reader, caller transport.Caller) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	seqRing := dht.NewRing(0)
-	for _, n := range topo.AllNodes() {
-		seqRing.Add(n)
-	}
+	seqRing := dht.NewRing(0, topo.AllNodes()...)
 	c := &Cluster{
 		cfg:           m.Config,
 		caller:        caller,

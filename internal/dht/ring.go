@@ -13,10 +13,13 @@
 package dht
 
 import (
+	"cmp"
 	"crypto/sha1"
 	"encoding/binary"
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Ring is a SHA-1 consistent-hash ring over node addresses. The zero value
@@ -36,25 +39,41 @@ type point struct {
 // passes 0: enough for <5% load skew across typical group sizes.
 const DefaultVnodes = 64
 
-// NewRing creates an empty ring with the given virtual nodes per physical
-// node (0 selects DefaultVnodes).
-func NewRing(vnodesPerNode int) *Ring {
+// NewRing creates a ring with the given virtual nodes per physical node (0
+// selects DefaultVnodes) over nodes, placing all their points with one sort.
+func NewRing(vnodesPerNode int, nodes ...string) *Ring {
 	if vnodesPerNode <= 0 {
 		vnodesPerNode = DefaultVnodes
 	}
-	return &Ring{vnodesPerNode: vnodesPerNode, nodes: make(map[string]bool)}
+	r := &Ring{vnodesPerNode: vnodesPerNode, nodes: make(map[string]bool, len(nodes))}
+	r.place(nodes...)
+	return r
 }
 
 // Add places a node on the ring. Adding an existing node is a no-op.
-func (r *Ring) Add(node string) {
-	if r.nodes[node] {
-		return
+func (r *Ring) Add(node string) { r.place(node) }
+
+// place adds the virtual points of every node not yet on the ring and
+// re-sorts the ring once. Points order by hash, then node, so the ring does
+// not depend on the order nodes joined in.
+func (r *Ring) place(nodes ...string) {
+	var buf []byte
+	before := len(r.points)
+	for _, node := range nodes {
+		if r.nodes[node] {
+			continue
+		}
+		r.nodes[node] = true
+		buf = append(append(slices.Grow(buf[:0], len(node)+21), node...), '#') // room for the vnode index
+		for v := 0; v < r.vnodesPerNode; v++ {
+			r.points = append(r.points, point{hash: vnodeHash(buf, v), node: node})
+		}
 	}
-	r.nodes[node] = true
-	for v := 0; v < r.vnodesPerNode; v++ {
-		r.points = append(r.points, point{hash: vnodeHash(node, v), node: node})
+	if len(r.points) > before {
+		slices.SortFunc(r.points, func(a, b point) int {
+			return cmp.Or(cmp.Compare(a.hash, b.hash), strings.Compare(a.node, b.node))
+		})
 	}
-	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
 }
 
 // Remove takes a node off the ring. Removing an absent node is a no-op.
@@ -116,19 +135,19 @@ func (r *Ring) LookupNHash(h uint64, n int) []string {
 	}
 	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i := 0; len(out) < n; i++ {
-		p := r.points[(idx+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
+		// n is at most the replica count, so scanning out beats a set.
+		if p := r.points[(idx+i)%len(r.points)]; !slices.Contains(out, p.node) {
 			out = append(out, p.node)
 		}
 	}
 	return out
 }
 
-func vnodeHash(node string, v int) uint64 {
-	h := sha1.Sum([]byte(fmt.Sprintf("%s#%d", node, v)))
+// vnodeHash hashes "node#v" given prefix = "node#"; it may append to prefix's
+// spare capacity.
+func vnodeHash(prefix []byte, v int) uint64 {
+	h := sha1.Sum(strconv.AppendInt(prefix, int64(v), 10))
 	return binary.BigEndian.Uint64(h[:8])
 }
 

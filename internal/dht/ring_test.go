@@ -1,8 +1,13 @@
 package dht
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -157,5 +162,51 @@ func TestNodesSorted(t *testing.T) {
 	got := r.Nodes()
 	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
 		t.Fatalf("nodes = %v", got)
+	}
+}
+
+// pointsDigest hashes a ring's points, in ring order.
+func pointsDigest(h hash.Hash, r *Ring) {
+	for _, p := range r.points {
+		h.Write(binary.BigEndian.AppendUint64(nil, p.hash))
+		h.Write([]byte(p.node))
+		h.Write([]byte{0})
+	}
+}
+
+// TestRingPointsPinned pins the points of a fixed 20-node, 4-group topology
+// and of the ring over all 20 nodes (the sequence-shard ring) to the values
+// the incremental one-node-at-a-time construction produced before rings were
+// built in one sort: that must not move a single key, and growing a ring by
+// Add must still give the same points.
+func TestRingPointsPinned(t *testing.T) {
+	const want = "9827ea9afc3d7f2e0eea4a2c2ee895067be1b7ceb116d562f771fb65dfd9e43f"
+	var nodes []string
+	for i := 0; i < 20; i++ {
+		nodes = append(nodes, fmt.Sprintf("127.0.0.1:%d", 7001+i))
+	}
+	groups, err := SplitNodes(nodes, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := NewTopology(groups, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := NewRing(0, nodes...)
+	grown := NewRing(0)
+	for _, n := range nodes {
+		grown.Add(n)
+	}
+	if !reflect.DeepEqual(all.points, grown.points) {
+		t.Fatal("a ring built in one sort differs from the same ring grown by Add")
+	}
+	h := sha256.New()
+	for g := 0; g < topo.Groups(); g++ {
+		pointsDigest(h, topo.groups[g])
+	}
+	pointsDigest(h, all)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("ring points digest %s, pinned %s", got, want)
 	}
 }

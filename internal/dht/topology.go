@@ -26,15 +26,13 @@ func NewTopology(groups [][]string, vnodesPerNode int) (*Topology, error) {
 		if len(members) == 0 {
 			return nil, fmt.Errorf("dht: group %d is empty", gi)
 		}
-		ring := NewRing(vnodesPerNode)
 		for _, n := range members {
 			if prev, dup := t.byNode[n]; dup {
 				return nil, fmt.Errorf("dht: node %q in groups %d and %d", n, prev, gi)
 			}
 			t.byNode[n] = gi
-			ring.Add(n)
 		}
-		t.groups = append(t.groups, ring)
+		t.groups = append(t.groups, NewRing(vnodesPerNode, members...))
 	}
 	return t, nil
 }

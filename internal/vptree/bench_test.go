@@ -45,3 +45,22 @@ func BenchmarkNearestEligible(b *testing.B) {
 func BenchmarkNearestEligibleDNA(b *testing.B) {
 	benchNearestBudget(b, metric.ForKind(seq.DNA), "ACGT", 5)
 }
+
+// BenchmarkBuild times the bulk build a storage node runs at the end of an
+// ingest: one ingest_bulk node's share (~9,650 protein 16-mers) into a
+// default-bucket tree. Allocations per build are the throwaway work of
+// vertex seeding and per-vertex scratch on top of the tree itself.
+func BenchmarkBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(56))
+	items := goldenItems(goldenKeys(rng, 9650, "ARNDCQEGHILKMFPSTWYV", "ARNDCQEGHILKMFPSTWYV"), 0)
+	m := metric.ForKind(seq.Protein)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTree = Build(m, 0, int64(i), items)
+	}
+	b.ReportMetric(float64(len(items)*b.N)/b.Elapsed().Seconds(), "items/s")
+}
+
+// benchTree keeps BenchmarkBuild's result live.
+var benchTree *Tree

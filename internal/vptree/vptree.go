@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	"mendel/internal/metric"
@@ -157,8 +156,18 @@ func (t *Tree) Leaves() int {
 // tree seed, the operation history and the item order — independent of how
 // many goroutines the parallel build fans out to.
 func (t *Tree) build(items slab) *node {
-	spare := slab{keys: make([]byte, len(items.keys)), refs: make([]uint64, len(items.refs))}
-	return t.buildSeeded(items, spare, true, t.rng.Int63(), newBuildLimiter())
+	n := len(items.refs)
+	spare := slab{keys: make([]byte, len(items.keys)), refs: make([]uint64, n)}
+	return t.buildSeeded(items, spare, make([]int, n), true, t.rng.Int63(), new(buildScratch), newBuildLimiter())
+}
+
+// buildScratch is one build goroutine's per-vertex working state. A vertex
+// is done with all three before it recurses, so each vertex reseeds and
+// refills them instead of allocating its own.
+type buildScratch struct {
+	rng    vertexRNG      // the vertex's vantage and child-seed draws
+	prof   metric.Profile // of the vertex's vantage
+	counts []int          // medianDistance's histogram
 }
 
 // parallelBuildMin is the subtree size below which recursion stays on the
@@ -191,39 +200,34 @@ func (l buildLimiter) tryAcquire() bool {
 
 func (l buildLimiter) release() { <-l }
 
-// buildSeeded builds the subtree over items. spare is the same range of the
-// build's other buffer: a vertex partitions its items into it and the two
-// swap roles one level down, so a build allocates two buffers, not a left and
-// a right slab per vertex. inArena says which of the two items is; a leaf whose
-// items ended up on the other side is copied across (same offsets), so the
-// subtree's leaves tile the arena left to right.
-func (t *Tree) buildSeeded(items, spare slab, inArena bool, seed int64, lim buildLimiter) *node {
+// buildSeeded builds the subtree over items. spare and dist are the same
+// range of the build's other item buffer and of its distance buffer: a vertex
+// partitions its items into spare and the two swap roles one level down, so a
+// build allocates two item buffers and one distance buffer, not a left and a
+// right slab and a distance slice per vertex. inArena says which of the two
+// items is; a leaf whose items ended up on the other side is copied across
+// (same offsets), so the subtree's leaves tile the arena left to right. sc is
+// the calling goroutine's scratch; a left subtree handed to a goroutine of its
+// own gets a fresh one.
+func (t *Tree) buildSeeded(items, spare slab, dist []int, inArena bool, seed int64, sc *buildScratch, lim buildLimiter) *node {
 	count := len(items.refs)
 	if count == 0 {
 		return nil
 	}
-	leaf := func() *node {
-		if !inArena {
-			copy(spare.keys, items.keys)
-			copy(spare.refs, items.refs)
-			items = spare
-		}
-		return &node{slab: items, count: int32(count)}
-	}
 	if count <= t.bucketCap {
-		return leaf()
+		return leafOf(items, spare, inArena)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	vantage := t.selectVantage(rng, items)
-	dist := make([]int, count)
-	t.distances(vantage, items, dist, lim)
+	sc.rng.seed(seed)
+	vantage := t.selectVantage(&sc.rng, items)
+	sc.prof = t.metric.Profile(vantage, sc.prof)
+	t.distances(sc.prof, items, dist, lim)
 	// Left takes d <= mu to guarantee the left side is non-empty and to keep
 	// routing (d <= mu goes left) consistent.
-	mu, nLeft := t.medianDistance(dist)
+	mu, nLeft := t.medianDistance(dist, sc)
 	if nLeft == count {
 		// Degenerate: every element within mu of the vantage (e.g. all
 		// identical). An oversized leaf is the only consistent shape.
-		return leaf()
+		return leafOf(items, spare, inArena)
 	}
 	// The partition is a stable scan, so child item order does not depend on
 	// the median algorithm.
@@ -237,60 +241,64 @@ func (t *Tree) buildSeeded(items, spare slab, inArena bool, seed int64, lim buil
 		spare.refs[*at] = items.refs[i]
 		*at++
 	}
-	leftSeed, rightSeed := rng.Int63(), rng.Int63()
+	leftSeed, rightSeed := sc.rng.Int63(), sc.rng.Int63()
 	n := &node{slab: slab{keys: append([]byte(nil), vantage...)}, mu: int32(mu), count: int32(count)}
-	buildLeft := func() {
-		n.left = t.buildSeeded(spare.slice(0, nLeft, t.stride), items.slice(0, nLeft, t.stride), !inArena, leftSeed, lim)
-	}
-	var wg sync.WaitGroup
+	leftItems, leftSpare := spare.slice(0, nLeft, t.stride), items.slice(0, nLeft, t.stride)
+	var leftDone chan struct{}
 	if nLeft >= parallelBuildMin && lim.tryAcquire() {
-		wg.Add(1)
+		leftDone = make(chan struct{})
 		go func() {
-			defer wg.Done()
+			defer close(leftDone)
 			defer lim.release()
-			buildLeft()
+			n.left = t.buildSeeded(leftItems, leftSpare, dist[:nLeft], !inArena, leftSeed, new(buildScratch), lim)
 		}()
 	} else {
-		buildLeft()
+		n.left = t.buildSeeded(leftItems, leftSpare, dist[:nLeft], !inArena, leftSeed, sc, lim)
 	}
-	n.right = t.buildSeeded(spare.slice(nLeft, count, t.stride), items.slice(nLeft, count, t.stride), !inArena, rightSeed, lim)
-	wg.Wait()
+	n.right = t.buildSeeded(spare.slice(nLeft, count, t.stride), items.slice(nLeft, count, t.stride), dist[nLeft:], !inArena, rightSeed, sc, lim)
+	if leftDone != nil {
+		<-leftDone
+	}
 	n.height = 1 + max(subHeight(n.left), subHeight(n.right))
 	return n
 }
 
-// distances fills dist[i] with the metric distance from vantage to item i,
-// sharding the scan over spare cores for large inputs: the root level of a
+// leafOf makes a leaf of items, first copying them across to the arena side
+// (spare) when they are not in it.
+func leafOf(items, spare slab, inArena bool) *node {
+	if !inArena {
+		copy(spare.keys, items.keys)
+		copy(spare.refs, items.refs)
+		items = spare
+	}
+	return &node{slab: items, count: int32(len(items.refs))}
+}
+
+// distances fills dist[i] with the distance from the profiled vantage to item
+// i, sharding the scan over spare cores for large inputs: the root level of a
 // bulk build is a linear pass over the whole dataset and would otherwise
-// serialize the entire construction (Amdahl's bottleneck).
-// One vantage against many keys is a lookup's shape, so the pass borrows a
-// pooled Searcher's profile and runs the lookup's kernel.
-func (t *Tree) distances(vantage []byte, items slab, dist []int, lim buildLimiter) {
-	s := searchers.Get().(*Searcher)
-	defer searchers.Put(s)
-	s.prof = t.metric.Profile(vantage, s.prof)
-	scan := func(lo, hi int) { s.prof.Distances(dist[lo:hi], items.keys[lo*t.stride:hi*t.stride]) }
+// serialize the entire construction (Amdahl's bottleneck). One vantage
+// against many keys is a lookup's shape, so the pass runs the lookup's kernel.
+func (t *Tree) distances(prof metric.Profile, items slab, dist []int, lim buildLimiter) {
 	const chunk = 4096
 	if lim == nil || len(dist) < 2*chunk {
-		scan(0, len(dist))
+		prof.Distances(dist, items.keys)
 		return
 	}
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(dist); lo += chunk {
-		hi := lo + chunk
-		if hi > len(dist) {
-			hi = len(dist)
-		}
+		hi := min(lo+chunk, len(dist))
+		d, keys := dist[lo:hi], items.keys[lo*t.stride:hi*t.stride]
 		if hi < len(dist) && lim.tryAcquire() {
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func() {
 				defer wg.Done()
 				defer lim.release()
-				scan(lo, hi)
-			}(lo, hi)
+				prof.Distances(d, keys)
+			}()
 			continue
 		}
-		scan(lo, hi)
+		prof.Distances(d, keys)
 	}
 	wg.Wait()
 }
@@ -298,10 +306,15 @@ func (t *Tree) distances(vantage []byte, items slab, dist []int, lim buildLimite
 // medianDistance returns the element an ascending sort of dist would place at
 // index len/2 — the routing radius of the classic vp-tree median split — and
 // how many elements are no larger. Distances are small integers (at most the
-// key length times the metric's per-residue maximum), so it counts them
-// instead of sorting a copy.
-func (t *Tree) medianDistance(dist []int) (mu, nLeft int) {
-	counts := make([]int, t.stride*t.metric.MaxPerResidue()+1)
+// key length times the metric's per-residue maximum), so it counts them in
+// sc's histogram instead of sorting a copy.
+func (t *Tree) medianDistance(dist []int, sc *buildScratch) (mu, nLeft int) {
+	if size := t.stride*t.metric.MaxPerResidue() + 1; len(sc.counts) != size {
+		sc.counts = make([]int, size)
+	} else {
+		clear(sc.counts)
+	}
+	counts := sc.counts
 	for _, d := range dist {
 		counts[d]++
 	}
@@ -323,26 +336,31 @@ func subHeight(n *node) int32 {
 // selectVantage picks a vantage point by sampling a few candidates and
 // choosing the one whose distances to a probe sample have maximal spread
 // (second moment about the median), per Yianilos' heuristic. It draws only
-// from rng, so concurrent subtree builds stay deterministic.
-func (t *Tree) selectVantage(rng *rand.Rand, items slab) []byte {
+// from rng, so concurrent subtree builds stay deterministic. The probe
+// distances are insertion-sorted as they arrive, for the median; the spread
+// is a sum of integer squares, exact in any order.
+func (t *Tree) selectVantage(rng *vertexRNG, items slab) []byte {
 	const candidates, probes = 8, 24
 	n := len(items.refs)
 	if n == 1 {
 		return items.key(0, t.stride)
 	}
-	best, bestSpread := items.key(0, t.stride), -1.0
-	ds := make([]int, probes)
+	best, bestSpread := items.key(0, t.stride), -1
+	var ds [probes]int
 	for c := 0; c < candidates && c < n; c++ {
 		cand := items.key(rng.Intn(n), t.stride)
 		for p := range ds {
-			ds[p] = t.metric.Distance(cand, items.key(rng.Intn(n), t.stride))
+			d := t.metric.Distance(cand, items.key(rng.Intn(n), t.stride))
+			j := p
+			for ; j > 0 && ds[j-1] > d; j-- {
+				ds[j] = ds[j-1]
+			}
+			ds[j] = d
 		}
-		sort.Ints(ds)
-		median := ds[len(ds)/2]
-		spread := 0.0
+		median := ds[probes/2]
+		spread := 0
 		for _, d := range ds {
-			diff := float64(d - median)
-			spread += diff * diff
+			spread += (d - median) * (d - median)
 		}
 		if spread > bestSpread {
 			best, bestSpread = cand, spread
