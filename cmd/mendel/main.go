@@ -898,7 +898,6 @@ func cmdServe(args []string) {
 	cluster.SetObservability(reg, tracer)
 	cluster.SetTraceSampleRate(*sample)
 	rpc.Register(reg)
-	cluster.EnableFanOutCoalescing()
 
 	gw := mendel.NewGateway(cluster, mendel.GatewayConfig{
 		MaxInFlight: *maxInflight,
@@ -962,7 +961,6 @@ func cmdServe(args []string) {
 	shutdownCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	srv.Shutdown(shutdownCtx)
-	cluster.DisableFanOutCoalescing()
 }
 
 func loadManifest(path string, rc mendel.ResilienceConfig) (*mendel.Cluster, *mendel.ResilientCaller) {

@@ -38,9 +38,8 @@ type Cluster struct {
 	// sampler makes the head-based trace sampling decision once per query;
 	// built from Config.TraceSampleRate, replaceable via SetTraceSampleRate.
 	sampler *obs.Sampler
-	// batcher, when non-nil, coalesces concurrent queries' group subqueries
-	// into batch RPCs. Set via EnableFanOutCoalescing before serving
-	// queries; read without synchronization by concurrent Searches.
+	// batcher carries every group subquery to its entry point, coalescing
+	// concurrent queries' subqueries into batch RPCs under load.
 	batcher *fanoutBatcher
 	// prefilter selects the sketch-based group prefilter consulted before
 	// fan-out. Set via SetPrefilterMode before serving queries; read
@@ -98,7 +97,7 @@ func NewCluster(cfg Config, caller transport.Caller, groups [][]string) (*Cluste
 		return nil, err
 	}
 	seqRing := dht.NewRing(0, topo.AllNodes()...)
-	return &Cluster{
+	c := &Cluster{
 		cfg:           cfg,
 		caller:        caller,
 		groups:        groups,
@@ -112,7 +111,9 @@ func NewCluster(cfg Config, caller transport.Caller, groups [][]string) (*Cluste
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		hints:         newHintStore(),
 		repairPending: make(map[int]bool),
-	}, nil
+	}
+	c.batcher = newFanoutBatcher(c)
+	return c, nil
 }
 
 // Config returns the cluster configuration.
@@ -408,9 +409,6 @@ func seqKey(id seq.ID) []byte {
 	binary.BigEndian.PutUint64(b[:], uint64(id))
 	return b[:]
 }
-
-// newClusterRNG builds the deterministic entry-point selector.
-func newClusterRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // pickEntry draws the index of the group member a fan-out RPC tries first:
 // the symmetric architecture makes any of the n members a valid entry point.

@@ -22,35 +22,6 @@ const (
 	coalesceMaxBatch = 32
 )
 
-// EnableFanOutCoalescing routes concurrent queries' per-group subqueries
-// through a shared batcher that sends wire.GroupSearchBatch RPCs. The
-// policy adapts to load by itself: a subquery whose group has nothing in
-// flight leaves immediately as a batch of one (exactly the direct path's
-// work, no waiting); one that arrives while the group is busy is held — for
-// at most coalesceHold, or until coalesceMaxBatch are held — and travels
-// with every companion that arrives meanwhile, amortizing round trips when
-// many queries are in flight (the gateway's serving mode). Queries keep
-// their individual results and trace contexts. Coalescing composes with the
-// sketch prefilter: searchStrand prunes groupOffsets before the fan-out
-// reaches the batcher, so a skipped group contributes nothing to any batch.
-// Like SetObservability, call before serving queries.
-func (c *Cluster) EnableFanOutCoalescing() {
-	c.batcher = newFanoutBatcher(c)
-}
-
-// DisableFanOutCoalescing tears the batcher down, failing any queries still
-// held in a group queue. Only for tests and orderly shutdown; like
-// EnableFanOutCoalescing it must not race in-flight searches.
-func (c *Cluster) DisableFanOutCoalescing() {
-	if c.batcher != nil {
-		c.batcher.close()
-		c.batcher = nil
-	}
-}
-
-// errCoalescerClosed fails queries caught in the queue by a shutdown.
-var errCoalescerClosed = errors.New("core: fan-out coalescer closed")
-
 // batchOutcome is one query's share of a batch reply.
 type batchOutcome struct {
 	res wire.GroupSearchResult
@@ -62,33 +33,37 @@ type batchWaiter struct {
 	ctx    context.Context // the query's; a waiter whose ctx is done is not shipped
 	item   wire.GroupSearch
 	tc     obs.TraceContext
+	span   *obs.Span         // the query's group span; nil when unsampled
 	queued time.Time         // when it was held; zero if dispatched on arrival
 	wait   time.Duration     // queued → dispatch, written before done is signalled
 	done   chan batchOutcome // buffered(1): send never blocks, waiter may abandon
 }
 
-// fanoutBatcher coalesces concurrent queries' GroupSearch calls into
-// per-group batch RPCs under the policy EnableFanOutCoalescing describes.
+// fanoutBatcher is the one way a group subquery leaves the coordinator: it
+// sends wire.GroupSearchBatch RPCs to a group entry point, and its policy
+// adapts to load by itself. A subquery whose group has nothing in flight
+// leaves immediately as a batch of one (the work of a single GroupSearch
+// RPC, no waiting); one that arrives while the group is busy is held — for
+// at most coalesceHold, or until coalesceMaxBatch are held — and travels
+// with every companion that arrives meanwhile, amortizing round trips when
+// many queries are in flight (the gateway's serving mode). Queries keep
+// their individual results and trace contexts. Coalescing composes with the
+// sketch prefilter: searchStrand prunes groupOffsets before the fan-out
+// reaches the batcher, so a skipped group contributes nothing to any batch.
 type fanoutBatcher struct {
-	c      *Cluster
-	hold   time.Duration   // coalesceHold; tests stretch it to take the clock out of play
-	ctx    context.Context // bounds batch RPCs to the batcher's lifetime
-	cancel context.CancelFunc
+	c    *Cluster
+	hold time.Duration // coalesceHold; tests stretch it to take the clock out of play
 
 	mu       sync.Mutex
-	closed   bool
 	inflight map[int]int // batch RPCs outstanding per group
 	pending  map[int][]*batchWaiter
 	timer    map[int]*time.Timer // armed while pending[g] is non-empty
 }
 
 func newFanoutBatcher(c *Cluster) *fanoutBatcher {
-	ctx, cancel := context.WithCancel(context.Background())
 	return &fanoutBatcher{
 		c:        c,
 		hold:     coalesceHold,
-		ctx:      ctx,
-		cancel:   cancel,
 		inflight: make(map[int]int),
 		pending:  make(map[int][]*batchWaiter),
 		timer:    make(map[int]*time.Timer),
@@ -97,16 +72,17 @@ func newFanoutBatcher(c *Cluster) *fanoutBatcher {
 
 // do submits one group subquery, waits for its batch to complete, and
 // returns this query's share of the reply plus the time it was held for
-// companions. Cancelling ctx abandons the wait (the batch itself keeps
-// running for its other members).
-func (b *fanoutBatcher) do(ctx context.Context, msg wire.GroupSearch, tc obs.TraceContext) (wire.GroupSearchResult, time.Duration, error) {
-	w := &batchWaiter{ctx: ctx, item: msg, tc: tc, done: make(chan batchOutcome, 1)}
+// companions. The subquery carries the trace context attached to ctx —
+// sampled, the unsampled sentinel, or none — so the head sampler's decision
+// for this query holds at its entry point and every member. sp is the
+// query's group span (nil when unsampled); the batch stamps its retry count
+// and hold time on it. Cancelling ctx abandons the wait (the batch itself
+// keeps running for its other members).
+func (b *fanoutBatcher) do(ctx context.Context, msg wire.GroupSearch, sp *obs.Span) (wire.GroupSearchResult, time.Duration, error) {
+	tc, _ := obs.TraceFromContext(ctx)
+	w := &batchWaiter{ctx: ctx, item: msg, tc: tc, span: sp, done: make(chan batchOutcome, 1)}
 	g := msg.Group
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return wire.GroupSearchResult{}, 0, errCoalescerClosed
-	}
 	var ready []*batchWaiter
 	if b.inflight[g] == 0 && len(b.pending[g]) == 0 {
 		// Idle group: no companion to wait for, and none worth waiting for.
@@ -170,11 +146,13 @@ func (b *fanoutBatcher) flush(g int) {
 	}
 }
 
-// send ships one batch to a group entry point, retrying with the next
-// member on unreachability exactly like the direct fan-out path, and
+// send ships one batch to a group entry point drawn at random — the
+// symmetric architecture makes any member a valid coordinator — retrying
+// with the next member while the chosen one is unreachable, and
 // distributes the per-item results. A batch-level failure (every member
 // down, malformed reply) fails every query in the batch; a per-item error
-// string fails only that query.
+// string fails only that query. The RPC outlives any one query, so it runs
+// under the transport's per-call timeout rather than a query's ctx.
 func (b *fanoutBatcher) send(g int, ws []*batchWaiter) {
 	defer func() {
 		b.mu.Lock()
@@ -191,6 +169,7 @@ func (b *fanoutBatcher) send(g int, ws []*batchWaiter) {
 		req.Items[i] = w.item
 		req.TCs[i] = w.tc
 		waitNs.Observe(w.wait.Nanoseconds())
+		w.span.SetAttr("coalesce_wait_ns", w.wait.Nanoseconds())
 	}
 	b.c.reg.Counter("coalesce_batches").Inc()
 	b.c.reg.Counter("coalesce_batched_queries").Add(int64(len(ws)))
@@ -208,7 +187,7 @@ func (b *fanoutBatcher) send(g int, ws []*batchWaiter) {
 	var lastErr error
 	for i := 0; i < len(members); i++ {
 		entry := members[(start+i)%len(members)]
-		resp, err := b.c.caller.Call(b.ctx, entry, req)
+		resp, err := b.c.caller.Call(context.Background(), entry, req)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, transport.ErrUnreachable) {
@@ -226,29 +205,15 @@ func (b *fanoutBatcher) send(g int, ws []*batchWaiter) {
 				g, entry, len(bres.Items), len(ws))
 			break
 		}
-		for i, w := range ws {
-			if bres.Errs[i] != "" {
-				w.done <- batchOutcome{err: errors.New(bres.Errs[i])}
+		for j, w := range ws {
+			w.span.SetAttr("attempts", int64(i+1))
+			if bres.Errs[j] != "" {
+				w.done <- batchOutcome{err: errors.New(bres.Errs[j])}
 				continue
 			}
-			w.done <- batchOutcome{res: bres.Items[i]}
+			w.done <- batchOutcome{res: bres.Items[j]}
 		}
 		return
 	}
 	fail(lastErr)
-}
-
-// close fails every held query and stops accepting new ones.
-func (b *fanoutBatcher) close() {
-	b.mu.Lock()
-	b.closed = true
-	var all []*batchWaiter
-	for g := range b.pending {
-		all = append(all, b.takeLocked(g)...)
-	}
-	b.mu.Unlock()
-	for _, w := range all {
-		w.done <- batchOutcome{err: errCoalescerClosed}
-	}
-	b.cancel()
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -23,7 +22,6 @@ import (
 // gatedGroup is a one-group cluster whose single node answers batch RPCs
 // with empty results after the test releases them.
 type gatedGroup struct {
-	c   *Cluster
 	b   *fanoutBatcher
 	reg *obs.Registry
 	// arrived carries the item count of each batch RPC as it reaches the
@@ -61,9 +59,9 @@ func newGatedGroup(t *testing.T) *gatedGroup {
 		t.Fatal(err)
 	}
 	c.SetObservability(gg.reg, nil)
-	c.EnableFanOutCoalescing()
-	t.Cleanup(c.DisableFanOutCoalescing)
-	gg.c, gg.b = c, c.batcher
+	// Parked batch RPCs finish once the test is over, whatever it released.
+	t.Cleanup(func() { close(gg.release) })
+	gg.b = c.batcher
 	gg.b.hold = time.Hour
 	return gg
 }
@@ -78,7 +76,7 @@ type doResult struct {
 func (gg *gatedGroup) submit(ctx context.Context) <-chan doResult {
 	out := make(chan doResult, 1)
 	go func() {
-		_, wait, err := gg.b.do(ctx, wire.GroupSearch{Group: 0}, obs.TraceContext{})
+		_, wait, err := gg.b.do(ctx, wire.GroupSearch{Group: 0}, nil)
 		out <- doResult{wait, err}
 	}()
 	return out
@@ -320,43 +318,6 @@ func TestCoalesceFullQueueOfAbandonedWaitersSendsNothing(t *testing.T) {
 		t.Errorf("query after the drain: wait=%v err=%v", r.wait, r.err)
 	}
 	gg.assertCounts(t, 2, 2)
-}
-
-func TestCoalesceDisableFailsHeldWaitersAndLeaksNothing(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	gg := newGatedGroup(t)
-	first := gg.submit(context.Background())
-	<-gg.arrived
-	held := []<-chan doResult{gg.submit(context.Background()), gg.submit(context.Background())}
-	gg.awaitHeld(t, 2)
-	b := gg.b
-
-	gg.c.DisableFanOutCoalescing()
-	for _, ch := range held {
-		if r := <-ch; !errors.Is(r.err, errCoalescerClosed) {
-			t.Errorf("held waiter got %v, want errCoalescerClosed", r.err)
-		}
-	}
-	// The batch in flight is bounded by the batcher's lifetime.
-	if r := <-first; r.err == nil {
-		t.Error("in-flight query outlived the batcher")
-	}
-	if _, _, err := b.do(context.Background(), wire.GroupSearch{Group: 0}, obs.TraceContext{}); !errors.Is(err, errCoalescerClosed) {
-		t.Errorf("do on a closed batcher: %v", err)
-	}
-	b.mu.Lock()
-	timers, queued := len(b.timer), len(b.pending)
-	b.mu.Unlock()
-	if timers != 0 || queued != 0 {
-		t.Errorf("closed batcher keeps %d timers and %d queues", timers, queued)
-	}
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the test:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // TestPickEntryIsSeededAndConcurrent pins the two properties of the

@@ -9,14 +9,15 @@ import (
 	"testing"
 
 	"mendel/internal/node"
+	"mendel/internal/obs"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
 	"mendel/internal/wire"
 )
 
 // The concurrency-correctness suite: a cluster serving many queries at once
-// — with and without fan-out coalescing, during ingest, and under chaos
-// faults — must answer every query bit-identically to a serial run on a
+// — their group subqueries coalescing in the fan-out batcher, during
+// ingest, and under chaos faults — must answer every query bit-identically to a serial run on a
 // twin cluster that never saw concurrency. Run with -race; the suite exists
 // as much to drive the detector through the shared search state as to check
 // the answers.
@@ -120,10 +121,13 @@ func TestConcurrentSearchMatchesSerialTwin(t *testing.T) {
 	}
 }
 
+// TestConcurrentSearchWithCoalescingMatchesSerialTwin checks, on a second
+// data set, that concurrent answers stay bit-identical to the serial twin's
+// and that the group subqueries really travelled in fan-out batches.
 func TestConcurrentSearchWithCoalescingMatchesSerialTwin(t *testing.T) {
 	live, twin, liveDB, _ := twinClusters(t, 6, 2, 43)
-	live.EnableFanOutCoalescing()
-	defer live.DisableFanOutCoalescing()
+	reg := obs.NewRegistry()
+	live.SetObservability(reg, nil)
 	queries := testQueries(liveDB, 6)
 	p := defaultTestParams()
 
@@ -135,6 +139,11 @@ func TestConcurrentSearchWithCoalescingMatchesSerialTwin(t *testing.T) {
 		}
 		assertSameHits(t, "coalesced query", got[qi], want)
 	}
+	batches := reg.Counter("coalesce_batches").Value()
+	batched := reg.Counter("coalesce_batched_queries").Value()
+	if batches == 0 || batched < batches {
+		t.Errorf("coalesce_batches = %d, coalesce_batched_queries = %d: want at least one batch, each carrying a query", batches, batched)
+	}
 }
 
 // TestConcurrentSearchDuringIngest checks the membership/ingest/search race
@@ -144,8 +153,6 @@ func TestConcurrentSearchWithCoalescingMatchesSerialTwin(t *testing.T) {
 // both sets with no concurrency at all.
 func TestConcurrentSearchDuringIngest(t *testing.T) {
 	live, twin, liveDB, _ := twinClusters(t, 6, 2, 44)
-	live.EnableFanOutCoalescing()
-	defer live.DisableFanOutCoalescing()
 	queries := testQueries(liveDB, 4)
 	p := defaultTestParams()
 	ctx := context.Background()
@@ -221,8 +228,6 @@ func TestConcurrentSearchUnderChaos(t *testing.T) {
 	}
 	live, liveDB := mk()
 	twin, _ := mk()
-	live.EnableFanOutCoalescing()
-	defer live.DisableFanOutCoalescing()
 
 	// Pick one victim per group whose loss keeps every sequence reachable.
 	var victims []string

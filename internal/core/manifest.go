@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"mendel/internal/dht"
-	"mendel/internal/metric"
 	"mendel/internal/seq"
 	"mendel/internal/sketch"
 	"mendel/internal/transport"
@@ -72,40 +70,27 @@ func (c *Cluster) SaveManifest(w io.Writer) error {
 }
 
 // LoadManifest restores a coordinator from a saved manifest, attached to
-// the given transport.
+// the given transport: NewCluster over the saved configuration and groups,
+// then the saved catalog, sketches and hash tree.
 func LoadManifest(r io.Reader, caller transport.Caller) (*Cluster, error) {
 	var m manifest
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("core: decoding manifest: %w", err)
 	}
-	topo, err := dht.NewTopology(m.Groups, 0)
+	c, err := NewCluster(m.Config, caller, m.Groups)
 	if err != nil {
 		return nil, err
 	}
-	seqRing := dht.NewRing(0, topo.AllNodes()...)
-	c := &Cluster{
-		cfg:           m.Config,
-		caller:        caller,
-		groups:        m.Groups,
-		topo:          topo,
-		met:           metric.ForKind(m.Config.Kind),
-		seqRing:       seqRing,
-		names:         m.Names,
-		lengths:       m.Lengths,
-		totalResidues: m.Total,
-		nextID:        m.NextID,
-		hints:         newHintStore(),
-		repairPending: make(map[int]bool),
+	c.totalResidues = m.Total
+	c.nextID = m.NextID
+	if m.Names != nil {
+		c.names = m.Names
 	}
-	if c.names == nil {
-		c.names = make(map[seq.ID]string)
+	if m.Lengths != nil {
+		c.lengths = m.Lengths
 	}
-	if c.lengths == nil {
-		c.lengths = make(map[seq.ID]int)
-	}
-	c.seqSketches = m.SeqSketches
-	if c.seqSketches == nil {
-		c.seqSketches = make(map[seq.ID][]uint64)
+	if m.SeqSketches != nil {
+		c.seqSketches = m.SeqSketches
 	}
 	if len(m.GroupSketches) > 0 {
 		c.groupSketches = make(map[int]*sketch.Sketch, len(m.GroupSketches))
@@ -125,6 +110,5 @@ func LoadManifest(r io.Reader, caller transport.Caller) (*Cluster, error) {
 		}
 		c.hashTree = tree
 	}
-	c.rng = newClusterRNG(m.Config.Seed)
 	return c, nil
 }

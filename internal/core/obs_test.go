@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -202,5 +203,99 @@ func TestObservabilityHTTPSurface(t *testing.T) {
 		if root.Find(stage) == nil {
 			t.Errorf("/debug/spans tree missing stage %q", stage)
 		}
+	}
+}
+
+// TestManifestRestoredCoordinatorTraces: a coordinator restored from a
+// manifest samples traces at its saved Config.TraceSampleRate, exactly like
+// the one NewCluster built.
+func TestManifestRestoredCoordinatorTraces(t *testing.T) {
+	cfg := DefaultConfig(seq.Protein)
+	cfg.Groups = 2
+	cfg.SampleSize = 500
+	cfg.TraceSampleRate = 1
+	ip, err := NewInProcess(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := buildTestDB(rand.New(rand.NewSource(82)), 12, 300)
+	if err := ip.Index(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ip.SaveManifest(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadManifest(&buf, ip.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.SetObservability(obs.NewRegistry(), obs.NewTracer(0))
+	_, trace, err := restored.SearchTrace(context.Background(), db.Seqs[5].Data[40:200], defaultTestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace.TraceID == "" {
+		t.Fatal("restored coordinator with a tracer and TraceSampleRate 1 minted no trace")
+	}
+}
+
+// TestGroupSpanAttemptsCountFailover: with one member of the only group
+// down, a group span whose entry-point draw picked the dead member reports
+// attempts=2 (the batcher retried with the next member) and every other
+// group span attempts=1. Queries run one at a time, so the k-th draw of a
+// twin of the coordinator's seeded RNG is the k-th query's first pick.
+func TestGroupSpanAttemptsCountFailover(t *testing.T) {
+	cfg := DefaultConfig(seq.Protein)
+	cfg.Groups = 1
+	cfg.SampleSize = 500
+	ip, err := NewInProcess(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(256)
+	ip.Observe(obs.NewRegistry(), tracer)
+	db := buildTestDB(rand.New(rand.NewSource(83)), 12, 300)
+	if err := ip.Index(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	members := ip.Topology().GroupNodes(0)
+	const dead = 0
+	ip.Net.Fail(members[dead])
+
+	draws := rand.New(rand.NewSource(cfg.Seed))
+	retried := 0
+	for i := 0; i < 12; i++ {
+		_, trace, err := ip.SearchTrace(context.Background(), db.Seqs[i].Data[40:200], defaultTestParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(1)
+		if draws.Intn(len(members)) == dead {
+			want = 2
+			retried++
+		}
+		var root *obs.SpanSnapshot
+		for _, s := range tracer.Trace(trace.TraceID) {
+			if s.Name == "search" {
+				root = &s
+			}
+		}
+		groups := root.FindAll("group")
+		if len(groups) != 1 {
+			t.Fatalf("query %d: %d group spans, want 1", i, len(groups))
+		}
+		got, ok := int64(0), false
+		for _, a := range groups[0].Attrs {
+			if a.Key == "attempts" {
+				got, ok = a.Value, true
+			}
+		}
+		if !ok || got != want {
+			t.Errorf("query %d: group span attempts = %d (present %v), want %d", i, got, ok, want)
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no draw picked the dead member; the retry path went untested")
 	}
 }

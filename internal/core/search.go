@@ -370,9 +370,10 @@ type groupTiming struct {
 	coalesceWait time.Duration
 }
 
-// fanOut sends each group's subqueries to a group entry point, retrying
-// with the next member if the chosen entry point is unreachable (the
-// symmetric architecture makes any member a valid coordinator).
+// fanOut sends each group's subqueries to a group entry point through the
+// batcher, which retries with the next member if the chosen entry point is
+// unreachable (the symmetric architecture makes any member a valid
+// coordinator).
 //
 // When every member of a group is unreachable the behaviour depends on
 // Config.AllowPartial: with it set (the default) the dead group is dropped
@@ -387,7 +388,6 @@ func (c *Cluster) fanOut(ctx context.Context, q []byte, groupOffsets map[int][]i
 		err     error
 	}
 	ch := make(chan result, len(groupOffsets))
-	topo := c.topology()
 	for g, offsets := range groupOffsets {
 		go func(g int, offsets []int) {
 			msg := wire.GroupSearch{
@@ -414,15 +414,7 @@ func (c *Cluster) fanOut(ctx context.Context, q []byte, groupOffsets map[int][]i
 				// binary codec, using a pooled scratch frame.
 				spG.SetAttr("bytes_out", wireSize(msg))
 			}
-			var gsr wire.GroupSearchResult
-			var wait time.Duration
-			var callErr error
-			if b := c.batcher; b != nil {
-				gsr, wait, callErr = b.do(callCtx, msg, spG.Context())
-				spG.SetAttr("coalesce_wait_ns", wait.Nanoseconds())
-			} else {
-				gsr, callErr = c.callGroupEntry(callCtx, topo.GroupNodes(g), msg, spG)
-			}
+			gsr, wait, callErr := c.batcher.do(callCtx, msg, spG)
 			if callErr != nil {
 				spG.SetAttr("failed", 1)
 				spG.End()
@@ -469,32 +461,6 @@ func (c *Cluster) fanOut(ctx context.Context, q []byte, groupOffsets map[int][]i
 		}
 	}
 	return anchors, gt, failedGroups, nil
-}
-
-// callGroupEntry is the direct (uncoalesced) per-group RPC path: pick a
-// random entry point — the symmetric architecture makes any member a valid
-// coordinator — and retry with the next member while the chosen one is
-// unreachable.
-func (c *Cluster) callGroupEntry(ctx context.Context, members []string, msg wire.GroupSearch, spG *obs.Span) (wire.GroupSearchResult, error) {
-	start := c.pickEntry(len(members))
-	var lastErr error
-	for i := 0; i < len(members); i++ {
-		entry := members[(start+i)%len(members)]
-		resp, callErr := c.caller.Call(ctx, entry, msg)
-		if callErr == nil {
-			gsr, ok := resp.(wire.GroupSearchResult)
-			if !ok {
-				return wire.GroupSearchResult{}, fmt.Errorf("core: group %d entry %s: malformed reply %T", msg.Group, entry, resp)
-			}
-			spG.SetAttr("attempts", int64(i+1))
-			return gsr, nil
-		}
-		lastErr = callErr
-		if !errors.Is(callErr, transport.ErrUnreachable) {
-			break
-		}
-	}
-	return wire.GroupSearchResult{}, lastErr
 }
 
 // gappedExtend runs banded gapped extension (within p.Band diagonals of

@@ -1,31 +1,12 @@
 package transport
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net"
 	"strings"
-	"time"
 
 	"mendel/internal/obs"
 )
-
-// InstrumentedCaller decorates a Caller with per-call metrics: an overall
-// RPC latency histogram, a per-message-type latency histogram, and call /
-// error / unreachable counters. Layer it outside a ResilientCaller to
-// measure what callers experience (retries included) or inside to measure
-// raw attempts.
-type InstrumentedCaller struct {
-	inner Caller
-	reg   *obs.Registry
-}
-
-// NewInstrumentedCaller wraps inner, recording into reg. A nil registry
-// yields a pass-through wrapper with no recording cost beyond nil checks.
-func NewInstrumentedCaller(inner Caller, reg *obs.Registry) *InstrumentedCaller {
-	return &InstrumentedCaller{inner: inner, reg: reg}
-}
 
 // reqName returns the short metric label of a request type: "wire.Ping"
 // becomes "Ping".
@@ -35,23 +16,6 @@ func reqName(req any) string {
 		name = name[i+1:]
 	}
 	return name
-}
-
-// Call implements Caller.
-func (ic *InstrumentedCaller) Call(ctx context.Context, addr string, req any) (any, error) {
-	start := time.Now()
-	resp, err := ic.inner.Call(ctx, addr, req)
-	ns := time.Since(start).Nanoseconds()
-	ic.reg.Counter("rpc_calls").Inc()
-	ic.reg.Histogram("rpc_call_ns").Observe(ns)
-	ic.reg.Histogram("rpc_call_ns." + reqName(req)).Observe(ns)
-	if err != nil {
-		ic.reg.Counter("rpc_errors").Inc()
-		if errors.Is(err, ErrUnreachable) {
-			ic.reg.Counter("rpc_unreachable").Inc()
-		}
-	}
-	return resp, err
 }
 
 // Register surfaces the resilient caller's counters in a registry as

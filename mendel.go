@@ -216,8 +216,9 @@ func MergeMetricsHistories(hs ...MetricsHistory) MetricsHistory { return obs.Mer
 // with 429 + Retry-After), per-tenant token-bucket quotas keyed by the
 // X-Mendel-Tenant header, and per-request deadlines. Mount its Routes onto
 // the observability mux via MetricsSurface.Routes so the API and /metrics
-// share one listener. Cluster.EnableFanOutCoalescing complements it by
-// batching concurrent queries' per-group RPCs.
+// share one listener. Under concurrent load the Cluster's fan-out batches
+// the per-group subqueries of the queries in flight, so the gateway needs
+// nothing turned on for that.
 type (
 	// Gateway is the concurrent query-serving layer over one Cluster.
 	Gateway = gateway.Gateway

@@ -163,3 +163,51 @@ func TestTraceSamplingDisablesSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceSamplingHoldsOnEveryNode samples one query in two: every root
+// span kept anywhere in the cluster must belong to a trace the coordinator
+// sampled. An unsampled query's group subquery carries the "do not trace"
+// decision to its entry point; without it the entry point would record a
+// trace-less group_search root, crowding sampled roots out of the ring that
+// TraceFetch reads and firing the slow-query log for skipped queries.
+func TestTraceSamplingHoldsOnEveryNode(t *testing.T) {
+	cfg := DefaultConfig(Protein)
+	cfg.Groups = 2
+	cfg.TraceSampleRate = 0.5
+	cluster, err := NewInProcess(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := NewQueryTracer(0)
+	cluster.Observe(NewMetricsRegistry(), tracer)
+	ctx := context.Background()
+	db := buildSet(t, rand.New(rand.NewSource(13)), 10, 300)
+	if err := cluster.Index(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	sampled := make(map[string]bool)
+	for i := 0; i < 6; i++ {
+		_, tr, err := cluster.SearchTrace(ctx, db.Seqs[i].Data[40:160], DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.TraceID != "" {
+			sampled[tr.TraceID] = true
+		}
+	}
+	if len(sampled) != 3 {
+		t.Fatalf("%d of 6 queries sampled at rate 0.5, want 3", len(sampled))
+	}
+	groupRoots := 0
+	for _, s := range tracer.Recent(0) {
+		if !sampled[s.TraceID] {
+			t.Errorf("%s root kept for trace %q, which the coordinator did not sample", s.Name, s.TraceID)
+		}
+		if s.Name == "group_search" {
+			groupRoots++
+		}
+	}
+	if groupRoots == 0 {
+		t.Error("no entry point recorded a group_search root for a sampled query")
+	}
+}
