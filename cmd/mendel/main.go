@@ -598,7 +598,7 @@ func renderSpanTable(w io.Writer, spans []mendel.SpanSnapshot) {
 
 // renderNodeSummary rolls the tree up per storage node: how long each node
 // spent answering this query (local_search + fetch_region spans), how many
-// vp-tree nodes it visited, and how many anchors it contributed.
+// keys it computed a distance for, and how many anchors it contributed.
 func renderNodeSummary(w io.Writer, spans []mendel.SpanSnapshot) {
 	type agg struct {
 		spans   int

@@ -62,6 +62,29 @@ func Merge(anchors []wire.Anchor) []wire.Anchor {
 	return out
 }
 
+// PerDiagonal returns the highest-scoring anchor of each (sequence, diagonal)
+// pair, ties broken canonically, in canonical order, without modifying the
+// input. Gapped extension searches a band around an anchor's diagonal over a
+// region the diagonal alone fixes, so two anchors on one diagonal extend to
+// the same alignment and only one of them needs the work.
+func PerDiagonal(anchors []wire.Anchor) []wire.Anchor {
+	if len(anchors) == 0 {
+		return nil
+	}
+	sorted := append([]wire.Anchor(nil), anchors...)
+	SortCanonical(sorted)
+	out := sorted[:1]
+	for _, a := range sorted[1:] {
+		last := &out[len(out)-1]
+		if a.Seq != last.Seq || a.Diagonal() != last.Diagonal() {
+			out = append(out, a)
+		} else if a.Score > last.Score {
+			*last = a
+		}
+	}
+	return out
+}
+
 // BinBySeq groups anchors by reference sequence, each bin sorted by anchor
 // start position as the paper prescribes for the gapped-extension stage.
 func BinBySeq(anchors []wire.Anchor) map[seq.ID][]wire.Anchor {

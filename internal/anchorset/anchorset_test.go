@@ -171,3 +171,72 @@ func TestBest(t *testing.T) {
 		t.Fatal("Best mutated input")
 	}
 }
+
+// TestGateBeforeMergeKeepsCandidates: storage nodes drop anchors below the
+// S threshold before their merge, not after the coordinator's. Over random
+// anchors from a few nodes, gating first and merging at node, group and
+// system level must leave the same (sequence, diagonal, best score)
+// candidates after PerDiagonal as merging at every level and gating last.
+// The gate is a raw score threshold: a bit score is monotone in it.
+func TestGateBeforeMergeKeepsCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gate := func(in []wire.Anchor, threshold int) []wire.Anchor {
+		var out []wire.Anchor
+		for _, a := range in {
+			if a.Score >= threshold {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	f := func() bool {
+		threshold := rng.Intn(60)
+		var early, late []wire.Anchor // what the group entry point receives
+		for range rng.Intn(4) + 1 {
+			in := make([]wire.Anchor, rng.Intn(40))
+			for i := range in {
+				qs, l, d := rng.Intn(60), rng.Intn(20)+1, rng.Intn(8)-4
+				in[i] = wire.Anchor{Seq: seq.ID(1 + rng.Intn(3)), QStart: qs, QEnd: qs + l,
+					SStart: qs + d, SEnd: qs + d + l, Score: rng.Intn(80) - 10}
+			}
+			early = append(early, Merge(gate(in, threshold))...)
+			late = append(late, Merge(in)...)
+		}
+		a := PerDiagonal(Merge(Merge(early)))
+		b := PerDiagonal(gate(Merge(Merge(late)), threshold))
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Seq != b[i].Seq || a[i].Diagonal() != b[i].Diagonal() || a[i].Score != b[i].Score {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPerDiagonal(t *testing.T) {
+	in := []wire.Anchor{
+		{Seq: 1, QStart: 0, QEnd: 5, SStart: 10, SEnd: 15, Score: 7},
+		{Seq: 2, QStart: 0, QEnd: 5, SStart: 10, SEnd: 15, Score: 9},
+		{Seq: 1, QStart: 20, QEnd: 30, SStart: 30, SEnd: 40, Score: 12}, // diagonal 10 again
+		{Seq: 1, QStart: 0, QEnd: 5, SStart: 11, SEnd: 16, Score: 3},
+	}
+	got := PerDiagonal(in)
+	want := []wire.Anchor{in[2], in[3], in[1]}
+	if len(got) != len(want) {
+		t.Fatalf("PerDiagonal = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("PerDiagonal = %+v, want %+v", got, want)
+		}
+	}
+	if in[0].Score != 7 || PerDiagonal(nil) != nil {
+		t.Fatal("PerDiagonal modified its input or made candidates from none")
+	}
+}

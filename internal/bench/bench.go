@@ -34,9 +34,6 @@ type Scale struct {
 	Seed            int64
 	// Latency optionally simulates LAN delay per message.
 	Latency transport.LatencyModel
-	// SearchBudget overrides the per-lookup distance budget (0 = framework
-	// default, -1 = exact search).
-	SearchBudget int
 	// QueryEps overrides the vp-prefix branching radius used at query
 	// time (0 = framework default). Large values trade the LSH's
 	// search-space reduction for sensitivity to remote homologs.
@@ -85,7 +82,6 @@ func newCluster(s Scale, db *seq.Set) (*core.InProcess, error) {
 	cfg := core.DefaultConfig(db.Kind)
 	cfg.Groups = s.Groups
 	cfg.Seed = s.Seed
-	cfg.SearchBudget = s.SearchBudget
 	cfg.QueryEps = s.QueryEps
 	var opts []transport.MemOption
 	if s.Latency.Base > 0 || s.Latency.Jitter > 0 {

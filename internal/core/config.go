@@ -1,7 +1,7 @@
 // Package core is Mendel's primary contribution: the similarity-aware
 // distributed storage framework tying the substrates together. It provides
 // the ingest pipeline (§V-A: inverted index block creation, vp-prefix tree
-// dispersion, local vp-tree indexing) and the query evaluation pipeline
+// dispersion, node-local indexing) and the query evaluation pipeline
 // (§V-B: sliding-window decomposition, group fan-out, two-stage anchor
 // aggregation, gapped extension, E-value ranking).
 //
@@ -36,7 +36,9 @@ type Config struct {
 	// SampleSize bounds the number of blocks sampled to build the
 	// vp-prefix tree.
 	SampleSize int
-	// BucketCap is the local vp-tree leaf capacity (0 = default).
+	// BucketCap is the vp-tree leaf capacity of the benchmark harness's
+	// offline replay (0 = default); storage nodes index with a screen,
+	// which has no leaves.
 	BucketCap int
 	// QueryEps is the uncertainty radius used when hashing subqueries:
 	// traversal branches into both children when the eps-ball straddles a
@@ -59,12 +61,6 @@ type Config struct {
 	// degrade, not fail stop. When false, the first unreachable group
 	// aborts the query (the pre-fault-tolerance behaviour).
 	AllowPartial bool
-	// SearchBudget caps the distance evaluations of each local vp-tree
-	// lookup, making per-subquery cost independent of how much data a
-	// node holds (metric pruning alone cannot guarantee that on
-	// high-entropy segments). 0 derives the default; -1 forces exact
-	// (unbudgeted) search.
-	SearchBudget int
 	// SketchK is the k-mer length of the sketch prefilter tier (§DESIGN 14).
 	// 0 derives the per-kind default (5 for protein, 11 for DNA); -1
 	// disables sketching cluster-wide — nodes build no signatures and the
@@ -174,20 +170,8 @@ func (c Config) sketchParams() sketch.Params {
 	return p
 }
 
-// DefaultSearchBudget bounds local lookups to a few thousand distance
-// evaluations — far past where a genuinely close neighbour is found, yet
-// independent of per-node data volume.
+// DefaultSearchBudget is the distance-evaluation budget of a vp-tree lookup
+// in the benchmark harness's offline replay of node-local search, the
+// budget storage nodes searched their vp-trees with before the screen
+// (internal/node) made node-local candidates exact.
 const DefaultSearchBudget = 4096
-
-// searchBudget returns the effective per-lookup budget (0 on the wire
-// means exact search, so -1 here maps to 0 there).
-func (c Config) searchBudget() int {
-	switch {
-	case c.SearchBudget < 0:
-		return 0 // exact
-	case c.SearchBudget == 0:
-		return DefaultSearchBudget
-	default:
-		return c.SearchBudget
-	}
-}

@@ -351,7 +351,7 @@ func (c *Cluster) EmptyNodes(ctx context.Context) []string {
 //  2. parked hinted-handoff writes are replayed (staged blocks, then
 //     sequence shards);
 //  3. a BuildIndex folds everything staged — replayed hints and any blocks
-//     staged before the crash — into the node's vp-tree.
+//     staged before the crash — into the node's index.
 //
 // On error the taken hints are restored and the node stays down; the next
 // sweep retries the whole sequence.

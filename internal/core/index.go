@@ -15,8 +15,7 @@ import (
 )
 
 // indexBatchBlocks is the number of blocks accumulated per node before an
-// IndexBlocks message is flushed; batches keep the local vp-trees on the
-// fast InsertBatch path (§III-D).
+// IndexBlocks message is flushed.
 const indexBatchBlocks = 4096
 
 // Index ingests a sequence set into the cluster following §V-A:
@@ -169,7 +168,6 @@ func (c *Cluster) bootstrapMsg() (wire.Bootstrap, error) {
 		Margin:          c.cfg.Margin,
 		Groups:          c.groups,
 		Kind:            c.cfg.Kind,
-		SearchBudget:    c.cfg.searchBudget(),
 		SketchK:         sp.K,
 		SketchBloomBits: sp.BloomBits,
 		SketchMinHashK:  sp.MinHashK,
@@ -233,10 +231,10 @@ func (c *Cluster) hintBlocks(node string, blocks []wire.Block) {
 }
 
 // dispatchBlocks fragments, hashes and ships every block, then broadcasts
-// BuildIndex so each node folds its staged blocks into the local vp-tree
-// with one bulk median-split build. Nodes sort the staged set before
-// building, so the trees do not depend on the worker count or on RPC
-// arrival order (asserted by TestIngestIndependentOfWorkerCount).
+// BuildIndex so each node adds its staged blocks to its local index in one
+// bulk append. Nodes sort the staged set first, so the indexes do not depend
+// on the worker count or on RPC arrival order (asserted by
+// TestIngestIndependentOfWorkerCount).
 func (c *Cluster) dispatchBlocks(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite) error {
 	if err := c.shipBlocks(ctx, set, base, blockCfg, tree, w); err != nil {
 		return err

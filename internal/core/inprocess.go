@@ -72,7 +72,7 @@ func newInProcess(cfg Config, numNodes int, rc *transport.ResilientConfig, opts 
 
 // Observe attaches one registry/tracer pair to the coordinator and to every
 // storage node in the cluster. Because everything runs in one process, the
-// nodes' vp-tree and extension metrics land in the same registry as the
+// nodes' lookup and extension metrics land in the same registry as the
 // coordinator's query histograms, and node-side group_search span trees
 // interleave with the coordinator's search spans. Either argument may be
 // nil. If the cluster was built resilient, the coordinator's circuit-breaker

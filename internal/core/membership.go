@@ -52,13 +52,12 @@ func (c *Cluster) AddNode(ctx context.Context, g int, addr string) error {
 	}
 
 	boot := wire.Bootstrap{
-		HashTree:     enc,
-		Metric:       c.met.Name(),
-		BlockLen:     c.cfg.BlockLen,
-		Margin:       c.cfg.Margin,
-		Groups:       newGroups,
-		Kind:         c.cfg.Kind,
-		SearchBudget: c.cfg.searchBudget(),
+		HashTree: enc,
+		Metric:   c.met.Name(),
+		BlockLen: c.cfg.BlockLen,
+		Margin:   c.cfg.Margin,
+		Groups:   newGroups,
+		Kind:     c.cfg.Kind,
 	}
 	if _, err := c.caller.Call(ctx, addr, boot); err != nil {
 		return fmt.Errorf("core: bootstrapping new node %s: %w", addr, err)

@@ -46,8 +46,8 @@ func (r *RepairReport) String() string {
 // sequence inventory, the coordinator diffs each group's inventory against
 // the replica placement the DHT prescribes, and surviving replicas push the
 // missing copies directly to the nodes that should hold them — through the
-// staged IndexBlocks/BuildIndex path, so repaired vp-trees are rebuilt in
-// deterministic bulk builds. Block contents never pass through the
+// staged IndexBlocks/BuildIndex path, so repaired indexes grow in
+// deterministic bulk appends. Block contents never pass through the
 // coordinator; manifests carry placement hashes instead.
 func (c *Cluster) Repair(ctx context.Context) (*RepairReport, error) {
 	groups := make([]int, c.topology().Groups())
@@ -181,7 +181,7 @@ func (c *Cluster) repairGroups(ctx context.Context, groups []int, withSeqs bool)
 		}
 	}
 
-	// Phase 4: fold the pushed blocks into the targets' vp-trees.
+	// Phase 4: add the pushed blocks to the targets' indexes.
 	if len(targets) > 0 {
 		built := make([]string, 0, len(targets))
 		for t := range targets {

@@ -56,12 +56,12 @@ type Trace struct {
 	GroupsSkipped    int           // groups dropped by the sketch prefilter
 	PrefilterGuard   int           // windows dropped from every group (audited drops)
 	Partial          bool          // results degraded by an outage above
-	TreeVisits       int64         // vp-tree distance evaluations, all nodes
+	TreeVisits       int64         // node-local distance evaluations (keys past the identity screen), all nodes
 	Decompose        time.Duration // stage 1
 	Prefilter        time.Duration // stage 1b: sketch consultation (0 when off)
 	FanOut           time.Duration // stage 2 (includes group-side work)
 	CoalesceWait     time.Duration // of FanOut: longest hold for batch companions over the groups
-	KNN              time.Duration // stage 2a: node-side vp-tree lookups (CPU-summed)
+	KNN              time.Duration // stage 2a: node-side n-NN lookups (CPU-summed)
 	Ungapped         time.Duration // stage 2b: node-side filter + ungapped extension
 	Aggregate        time.Duration // stage 3: group + system entry point merges
 	Extend           time.Duration // stage 4
@@ -147,16 +147,12 @@ func (c *Cluster) searchTraced(ctx context.Context, query []byte, p wire.Params)
 	if tree == nil {
 		return nil, nil, ErrNotIndexed
 	}
-	kp, err := align.ParamsForMatrix(m)
-	if err != nil {
-		return nil, nil, err
-	}
 
 	trace := &Trace{QueryLen: len(q), Strands: 1}
 	if root != nil {
 		trace.TraceID = root.TraceID()
 	}
-	hits, err := c.searchStrand(ctx, q, p, m, kp, total, tree, '+', trace, root)
+	hits, err := c.searchStrand(ctx, q, p, m, total, tree, '+', trace, root)
 	if err != nil {
 		c.reg.Counter("search_errors").Inc()
 		return nil, nil, err
@@ -164,7 +160,7 @@ func (c *Cluster) searchTraced(ctx context.Context, query []byte, p wire.Params)
 	if p.BothStrands && c.cfg.Kind == seq.DNA {
 		trace.Strands = 2
 		rc := reverseComplement(q)
-		minus, err := c.searchStrand(ctx, rc, p, m, kp, total, tree, '-', trace, root)
+		minus, err := c.searchStrand(ctx, rc, p, m, total, tree, '-', trace, root)
 		if err != nil {
 			c.reg.Counter("search_errors").Inc()
 			return nil, nil, err
@@ -209,7 +205,7 @@ func (c *Cluster) searchTraced(ctx context.Context, query []byte, p wire.Params)
 // execute node-side; their spans are synthesized from the nanosecond
 // breakdowns the storage nodes ship back in GroupSearchResult, so the span
 // tree still covers all five stages of §V-B from the coordinator alone.
-func (c *Cluster) searchStrand(ctx context.Context, q []byte, p wire.Params, m *matrix.Matrix, kp align.KarlinParams, total int, tree *vphash.Tree, strand byte, trace *Trace, root *obs.Span) ([]Hit, error) {
+func (c *Cluster) searchStrand(ctx context.Context, q []byte, p wire.Params, m *matrix.Matrix, total int, tree *vphash.Tree, strand byte, trace *Trace, root *obs.Span) ([]Hit, error) {
 	// Stage 1: subquery decomposition and group routing.
 	start := time.Now()
 	spDecompose := root.Child("decompose")
@@ -303,17 +299,14 @@ func (c *Cluster) searchStrand(ctx context.Context, q []byte, p wire.Params, m *
 		obs.Attr{Key: "in", Value: int64(len(anchors))},
 		obs.Attr{Key: "out", Value: int64(len(merged))})
 
-	// Stage 4: gapped extension of anchors above the S threshold.
+	// Stage 4: gapped extension of anchors above the S threshold. Nodes
+	// ship only anchors that reach S, so every merged anchor does; of those
+	// on one diagonal of one sequence, which extend to the same alignment,
+	// the best goes forward.
 	start = time.Now()
 	spGapped := root.Child("gapped")
 	defer spGapped.End()
-	var candidates []wire.Anchor
-	for _, a := range merged {
-		if kp.BitScore(a.Score) >= float64(p.GappedS) {
-			candidates = append(candidates, a)
-		}
-	}
-	candidates = anchorset.Best(candidates, c.cfg.MaxGapped)
+	candidates := anchorset.Best(anchorset.PerDiagonal(merged), c.cfg.MaxGapped)
 	trace.GappedCandidates += len(candidates)
 	gkp, err := align.GappedParamsForMatrix(m)
 	if err != nil {
@@ -356,7 +349,7 @@ func reverseComplement(q []byte) []byte {
 }
 
 // groupTiming sums the node-side work breakdowns the group entry points
-// ship back in GroupSearchResult: nanoseconds of vp-tree k-NN time, of
+// ship back in GroupSearchResult: nanoseconds of k-NN lookup time, of
 // filter + ungapped extension time, distance evaluations performed, and the
 // group-level merge time. All are CPU-summed across nodes, not wall-clock —
 // except coalesceWait, the coordinator-side time a group subquery was held

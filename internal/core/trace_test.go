@@ -111,11 +111,13 @@ func TestSearchWithFinerStep(t *testing.T) {
 	}
 }
 
+// TestExactSearchModeConfig searches a two-group protein cluster. It once
+// configured exact (unbudgeted) node lookups; node lookups are exact in
+// every configuration now, so it runs the defaults.
 func TestExactSearchModeConfig(t *testing.T) {
 	cfg := DefaultConfig(seq.Protein)
 	cfg.Groups = 2
 	cfg.SampleSize = 300
-	cfg.SearchBudget = -1 // exact per-node lookups
 	ip, err := NewInProcess(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +134,6 @@ func TestExactSearchModeConfig(t *testing.T) {
 	}
 	if len(hits) == 0 || hits[0].Seq != 4 {
 		t.Fatalf("exact mode hits = %+v", hits)
-	}
-	if cfg.searchBudget() != 0 {
-		t.Fatalf("searchBudget() = %d, want 0 (exact) on the wire", cfg.searchBudget())
 	}
 }
 

@@ -39,6 +39,7 @@ type blockLoc struct {
 // Guarded by Node.mu.
 type blockStore struct {
 	blockLen, maxCtx int
+	codes            *[256]uint8 // the kind's stored letters: see check
 	chunks           [][]byte
 	sealed           []uint64
 	locs             []blockLoc
@@ -53,12 +54,12 @@ type span struct {
 	start, end, off int
 }
 
-func newBlockStore(blockLen, margin int) (blockStore, error) {
+func newBlockStore(kind seq.Kind, blockLen, margin int) (blockStore, error) {
 	maxCtx := blockLen + 2*margin
 	if blockLen <= 0 || margin < 0 || maxCtx > math.MaxUint16 {
 		return blockStore{}, fmt.Errorf("bad block geometry: length %d, margin %d", blockLen, margin)
 	}
-	return blockStore{blockLen: blockLen, maxCtx: maxCtx}, nil
+	return blockStore{blockLen: blockLen, maxCtx: maxCtx, codes: codesFor(kind)}, nil
 }
 
 func (s *blockStore) len() int { return len(s.sealed) + len(s.recent) }
@@ -110,7 +111,9 @@ func (s *blockStore) merged() ([]uint64, []blockLoc) {
 }
 
 // check rejects a block the store cannot hold or a search could not extend:
-// everything get and align.ExtendUngapped later index without looking.
+// everything get and align.ExtendUngapped later index without looking, and
+// any byte that is not one of the kind's stored letters, which the screen
+// could not code.
 func (s *blockStore) check(b *wire.Block) error {
 	ref := invindex.PackRef(b.Seq, b.Start)
 	switch _, start := invindex.UnpackRef(ref); {
@@ -125,6 +128,11 @@ func (s *blockStore) check(b *wire.Block) error {
 	case !bytes.Equal(b.Context[b.CtxOff:b.CtxOff+s.blockLen], b.Content):
 		return fmt.Errorf("block %#x: content differs from its context at offset %d", ref, b.CtxOff)
 	}
+	for i, c := range b.Context {
+		if s.codes[c] == noCode {
+			return fmt.Errorf("block %#x: byte %q at context offset %d is not a stored residue", ref, c, i)
+		}
+	}
 	return nil
 }
 
@@ -135,15 +143,15 @@ func (s *blockStore) room(n int) bool {
 	return len(s.chunks)+(n+perChunk-1)/perChunk <= maxChunks
 }
 
-// add stores a checked block and returns the stored view of its content, or
-// nil, changing nothing, when the reference is already held. A context that
+// add stores a checked block and returns the position of its content, or
+// false, changing nothing, when the reference is already held. A context that
 // extends the tail span (see shares) appends only its residues past the
 // span's end and points into the span; any other context is appended whole
 // and becomes the new tail span.
-func (s *blockStore) add(b *wire.Block) []byte {
+func (s *blockStore) add(b *wire.Block) (uint32, bool) {
 	ref := invindex.PackRef(b.Seq, b.Start)
 	if _, dup := s.lookup(ref); dup {
-		return nil
+		return 0, false
 	}
 	lo := b.Start - b.CtxOff // the context's first residue in its sequence
 	hi := lo + len(b.Context)
@@ -164,7 +172,7 @@ func (s *blockStore) add(b *wire.Block) []byte {
 		s.recent = make(map[uint64]blockLoc)
 	}
 	s.recent[ref] = loc
-	return s.view(ref, loc).Content
+	return loc.pos + uint32(loc.ctxOff), true
 }
 
 // shares reports whether b's context, residues [lo, hi) of its sequence, can
@@ -188,6 +196,13 @@ func (s *blockStore) get(ref uint64) (wire.Block, bool) {
 		return wire.Block{}, false
 	}
 	return s.view(ref, loc), true
+}
+
+// content returns the w bytes at position pos of chunks: a block's content,
+// by the position add returned for it.
+func content(chunks [][]byte, pos uint32, w int) []byte {
+	off := int(pos & (chunkBytes - 1))
+	return chunks[pos>>chunkShift][off : off+w : off+w]
 }
 
 func (s *blockStore) view(ref uint64, loc blockLoc) wire.Block {

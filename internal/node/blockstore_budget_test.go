@@ -8,15 +8,16 @@ import (
 )
 
 // TestResidentBytesPerBlock bounds what a stored, indexed block keeps on the
-// heap once every request that carried it is garbage: context chunk, index
-// entry and the vp-tree's copy of the key. A map[uint64]wire.Block whose
+// heap once every request that carried it is garbage: context chunk,
+// directory entry and the search index's entry for the key. A map[uint64]wire.Block whose
 // slices pinned the request frames held about 270 B here; the block store
 // with one whole context per block about 145 B; sharing contexts along a
 // sequence about 89 B; a sorted directory in place of the map and 80-byte
-// vertices about 73 B. (Not under -race: the detector's shadow memory and
+// vp-tree vertices about 73 B; the screen, 18 B per DNA key, in place of the
+// vp-tree about 58 B. (Not under -race: the detector's shadow memory and
 // allocator change the accounting.)
 func TestResidentBytesPerBlock(t *testing.T) {
-	const blocks, budget = 20000, 84
+	const blocks, budget = 20000, 70
 	frames := hotFrames(t, blocks, 4096)
 	heap := func() uint64 {
 		runtime.GC()

@@ -26,7 +26,7 @@ func wireBlocks(rng *rand.Rand, id seq.ID, length int, cfg invindex.Config) []wi
 
 func mustStore(t *testing.T, blockLen, margin int) *blockStore {
 	t.Helper()
-	s, err := newBlockStore(blockLen, margin)
+	s, err := newBlockStore(seq.DNA, blockLen, margin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func mustAdd(t *testing.T, s *blockStore, blocks []wire.Block) {
 		if err := s.check(&blocks[i]); err != nil {
 			t.Fatal(err)
 		}
-		if s.add(&blocks[i]) == nil {
+		if _, ok := s.add(&blocks[i]); !ok {
 			t.Fatalf("block seq=%d start=%d refused", blocks[i].Seq, blocks[i].Start)
 		}
 	}
@@ -159,7 +159,7 @@ func TestBlockStoreSharesSpans(t *testing.T) {
 	// content, so it still passes check.
 	disagree := func(blk wire.Block, i int) wire.Block {
 		blk.Context = slices.Clone(blk.Context)
-		blk.Context[i] ^= 'A' ^ 'C'
+		blk.Context[i] = "CAAA"[strings.IndexByte("ACGT", blk.Context[i])]
 		blk.Content = blk.Context[blk.CtxOff : blk.CtxOff+16]
 		return blk
 	}
@@ -205,7 +205,7 @@ func TestBlockStoreSharesSpans(t *testing.T) {
 		mustAdd(t, s, a[:100])
 		tail, used := s.tail, len(s.chunks[0])
 		for _, dup := range []wire.Block{a[50], disagree(a[60], 0), a[99]} {
-			if s.add(&dup) != nil {
+			if _, ok := s.add(&dup); ok {
 				t.Fatalf("duplicate of start %d accepted", dup.Start)
 			}
 		}
@@ -271,12 +271,15 @@ func FuzzBlockStore(f *testing.F) {
 				t.Fatal(err)
 			}
 			ref := invindex.PackRef(b.Seq, b.Start)
-			content := s.add(&b)
-			if _, held := model[ref]; (content == nil) != held {
-				t.Fatalf("add of block seq=%d start=%d: held %v, returned %q", b.Seq, b.Start, held, content)
+			pos, ok := s.add(&b)
+			if _, held := model[ref]; ok == held {
+				t.Fatalf("add of block seq=%d start=%d: held %v, added %v", b.Seq, b.Start, held, ok)
 			}
-			if content == nil {
+			if !ok {
 				continue
+			}
+			if got := content(s.chunks, pos, blockLen); !bytes.Equal(got, b.Content) {
+				t.Fatalf("add of block seq=%d start=%d: content position reads %q, want %q", b.Seq, b.Start, got, b.Content)
 			}
 			model[ref] = b
 			view, _ := s.get(ref)
@@ -425,7 +428,10 @@ func TestBlockStoreDuplicateAddChangesNothing(t *testing.T) {
 	if err := s.check(&dup); err != nil {
 		t.Fatal(err)
 	}
-	if s.add(&dup) != nil || s.add(&blocks[7]) != nil {
+	if _, ok := s.add(&dup); ok {
+		t.Fatal("duplicate reference accepted")
+	}
+	if _, ok := s.add(&blocks[7]); ok {
 		t.Fatal("duplicate reference accepted")
 	}
 	if s.len() != n || s.bytes() != size || len(s.chunks[0]) != used {
@@ -436,7 +442,7 @@ func TestBlockStoreDuplicateAddChangesNothing(t *testing.T) {
 
 func TestBlockStoreRefusesGeometryItCannotAddress(t *testing.T) {
 	for _, g := range [][2]int{{0, 8}, {-1, 8}, {16, -1}, {16, 1 << 15}} {
-		if _, err := newBlockStore(g[0], g[1]); err == nil {
+		if _, err := newBlockStore(seq.DNA, g[0], g[1]); err == nil {
 			t.Errorf("block length %d, margin %d accepted", g[0], g[1])
 		}
 	}

@@ -1,9 +1,10 @@
 // Package node implements a Mendel storage node: the local inverted-index
-// block store, the memory-resident dynamic vp-tree over those blocks
-// (§V-A3), the node's shard of the distributed sequence repository, and the
-// query-side roles every node can play — local searcher and group entry
-// point (§V-B). The architecture is symmetric: all nodes run identical code
-// and differ only in the data the two-tier DHT routed to them.
+// block store, the memory-resident bit-sliced screen that indexes those
+// blocks for search (where §V-A3 has a local vp-tree), the node's shard of
+// the distributed sequence repository, and the query-side roles every node
+// can play — local searcher and group entry point (§V-B). The architecture
+// is symmetric: all nodes run identical code and differ only in the data the
+// two-tier DHT routed to them.
 package node
 
 import (
@@ -23,7 +24,6 @@ import (
 	"mendel/internal/sketch"
 	"mendel/internal/transport"
 	"mendel/internal/vphash"
-	"mendel/internal/vptree"
 	"mendel/internal/wire"
 )
 
@@ -35,22 +35,21 @@ type Node struct {
 
 	mu sync.RWMutex
 	// Cluster state, set by Bootstrap.
-	booted       bool
-	kind         seq.Kind
-	met          metric.Metric
-	blockLen     int
-	margin       int
-	searchBudget int
-	topo         *dht.Topology
-	hashTree     []byte // as bootstrapped: the node only validates and persists it
-	group        int
+	booted   bool
+	kind     seq.Kind
+	met      metric.Metric
+	blockLen int
+	margin   int
+	topo     *dht.Topology
+	hashTree []byte // as bootstrapped: the node only validates and persists it
+	group    int
 	// Storage state.
-	tree   *vptree.Tree
+	screen screen
 	blocks blockStore
 	seqs   map[seq.ID]storedSeq
 	// staged holds blocks accepted with IndexBlocks.Stage, awaiting the
 	// BuildIndex bulk build.
-	staged []vptree.Item
+	staged []slot
 	// sketch accumulates k-mer signatures over every accepted block's
 	// content. Nil when the bootstrapping coordinator predates the sketch
 	// tier (Bootstrap.SketchK == 0), in which case SketchFetch answers
@@ -73,6 +72,13 @@ type storedSeq struct {
 	data []byte
 }
 
+// slot is a stored block on its way into the screen: its reference and the
+// position of its content in the block store.
+type slot struct {
+	ref uint64
+	pos uint32
+}
+
 // New creates an unbooted node. caller is used when the node acts as a
 // group entry point and fans subqueries out to its peers.
 func New(addr string, caller transport.Caller) *Node {
@@ -86,8 +92,8 @@ func New(addr string, caller transport.Caller) *Node {
 // Addr returns the node's transport address.
 func (n *Node) Addr() string { return n.addr }
 
-// Observe attaches the node's observability sinks: reg records vp-tree
-// visit counts, per-stage latencies and block-fetch metrics; tracer records
+// Observe attaches the node's observability sinks: reg records screen
+// distance counts, per-stage latencies and block-fetch metrics; tracer records
 // a span tree per group-entry-point query. Either may be nil. Call before
 // the node serves traffic.
 func (n *Node) Observe(reg *obs.Registry, tracer *obs.Tracer) {
@@ -192,7 +198,7 @@ func (n *Node) bootstrap(b wire.Bootstrap) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("node %s: not a member of the bootstrapped topology", n.addr)
 	}
-	blocks, err := newBlockStore(b.BlockLen, b.Margin)
+	blocks, err := newBlockStore(b.Kind, b.BlockLen, b.Margin)
 	if err != nil {
 		return nil, fmt.Errorf("node %s: %w", n.addr, err)
 	}
@@ -204,11 +210,10 @@ func (n *Node) bootstrap(b wire.Bootstrap) (any, error) {
 	n.met = met
 	n.blockLen = b.BlockLen
 	n.margin = b.Margin
-	n.searchBudget = b.SearchBudget
 	n.topo = topo
 	n.hashTree = b.HashTree
 	n.group = group
-	n.tree = vptree.New(met, 0, 1)
+	n.screen = newScreen(b.Kind, b.BlockLen)
 	n.blocks = blocks
 	n.seqs = make(map[seq.ID]storedSeq)
 	n.staged = nil
@@ -253,29 +258,25 @@ func (n *Node) indexBlocks(r wire.IndexBlocks) (any, error) {
 	if !n.booted {
 		return nil, fmt.Errorf("node %s: not bootstrapped", n.addr)
 	}
-	items, err := n.storeBlocks(r.Blocks)
+	slots, err := n.storeBlocks(r.Blocks)
 	if err != nil {
 		return nil, err
 	}
 	if r.Stage {
 		// Deferred indexing: the blocks are stored and searchable state is
-		// untouched until BuildIndex folds everything staged into the tree
-		// at once. Concurrent ingest senders hit this path, so the tree
-		// never sees their (nondeterministic) arrival order.
-		n.staged = append(n.staged, items...)
-		return wire.IndexBlocksAck{Accepted: len(items)}, nil
+		// untouched until BuildIndex appends everything staged at once.
+		n.staged = append(n.staged, slots...)
+		return wire.IndexBlocksAck{Accepted: len(slots)}, nil
 	}
-	// Batched insertion into the local dynamic vp-tree (§III-D's middle
-	// ground between per-element inserts and full rebuilds).
-	n.tree.InsertBatch(items)
+	n.index(slots)
 	n.blocks.seal()
-	return wire.IndexBlocksAck{Accepted: len(items)}, nil
+	return wire.IndexBlocksAck{Accepted: len(slots)}, nil
 }
 
 // storeBlocks copies the blocks the node does not hold yet into its store and
-// sketch and returns them as tree items keyed by the stored content. A batch
-// with a malformed block is refused whole, before anything is stored.
-func (n *Node) storeBlocks(blocks []wire.Block) ([]vptree.Item, error) {
+// sketch and returns their slots. A batch with a malformed block is refused
+// whole, before anything is stored.
+func (n *Node) storeBlocks(blocks []wire.Block) ([]slot, error) {
 	for i := range blocks {
 		if err := n.blocks.check(&blocks[i]); err != nil {
 			return nil, fmt.Errorf("node %s: %w", n.addr, err)
@@ -284,24 +285,33 @@ func (n *Node) storeBlocks(blocks []wire.Block) ([]vptree.Item, error) {
 	if !n.blocks.room(len(blocks)) {
 		return nil, fmt.Errorf("node %s: block store full at %d blocks", n.addr, n.blocks.len())
 	}
-	items := make([]vptree.Item, 0, len(blocks))
+	slots := make([]slot, 0, len(blocks))
 	for i := range blocks {
-		content := n.blocks.add(&blocks[i])
-		if content == nil {
+		pos, ok := n.blocks.add(&blocks[i])
+		if !ok {
 			continue // already held: hint replay, repair push or retry
 		}
 		if n.sketch != nil {
-			n.sketch.Add(content)
+			n.sketch.Add(content(n.blocks.chunks, pos, n.blockLen))
 		}
-		items = append(items, vptree.Item{Key: content, Ref: invindex.PackRef(blocks[i].Seq, blocks[i].Start)})
+		slots = append(slots, slot{ref: invindex.PackRef(blocks[i].Seq, blocks[i].Start), pos: pos})
 	}
-	return items, nil
+	return slots, nil
 }
 
-// buildIndex folds every staged block into the local vp-tree. Items are
-// sorted by packed block reference first, so the resulting tree is a pure
-// function of the set of blocks placed on this node — identical whether the
-// ingest pipeline delivered them serially or from many concurrent senders.
+// index appends stored blocks to the screen.
+func (n *Node) index(slots []slot) {
+	n.screen.reserve(len(slots))
+	for _, s := range slots {
+		n.screen.add(content(n.blocks.chunks, s.pos, n.blockLen), s.ref, s.pos)
+	}
+}
+
+// buildIndex appends every staged block to the screen, sorted by packed
+// block reference. A lookup's answer depends only on the set of keys, so
+// this order is not needed for it; it keeps the screen's layout, too, a
+// function of the blocks placed on this node, whatever order concurrent
+// ingest senders delivered them in.
 func (n *Node) buildIndex() (any, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -314,8 +324,8 @@ func (n *Node) buildIndex() (any, error) {
 	if len(staged) == 0 {
 		return wire.BuildIndexAck{}, nil
 	}
-	slices.SortFunc(staged, func(a, b vptree.Item) int { return cmp.Compare(a.Ref, b.Ref) })
-	n.tree.InsertBatch(staged)
+	slices.SortFunc(staged, func(a, b slot) int { return cmp.Compare(a.ref, b.ref) })
+	n.index(staged)
 	return wire.BuildIndexAck{Items: len(staged)}, nil
 }
 
@@ -394,10 +404,6 @@ func (n *Node) traceFetch(r wire.TraceFetch) (any, error) {
 func (n *Node) stats() wire.StatsResult {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	treeSize := 0
-	if n.tree != nil {
-		treeSize = n.tree.Size()
-	}
 	topoNodes := 0
 	if n.topo != nil {
 		topoNodes = n.topo.NumNodes()
@@ -407,7 +413,7 @@ func (n *Node) stats() wire.StatsResult {
 		Blocks:    n.blocks.len(),
 		Residues:  n.blocks.len() * n.blockLen,
 		Sequences: len(n.seqs),
-		TreeSize:  treeSize,
+		TreeSize:  n.screen.len(),
 		BusyNS:    n.busyNS.Load(),
 		TopoNodes: topoNodes,
 	}

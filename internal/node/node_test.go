@@ -248,6 +248,9 @@ func TestLocalSearchFindsExactSegment(t *testing.T) {
 	params.Identity = 0.9
 	params.CScore = 0.5
 	params.Neighbors = 4
+	// S is a search parameter, and this test checks filter and extension: no
+	// anchor of an 8-mer in a 30-residue DNA sequence reaches 28 bits.
+	params.GappedS = 0
 	query := []byte(ref[10:18]) // exact 8-mer from the reference
 	resp, err := n.Handle(ctx, wire.LocalSearch{
 		Query: query, Offsets: []int{0}, WindowLen: 8, Params: params,

@@ -7,29 +7,26 @@ import (
 	"io"
 	"slices"
 
-	"mendel/internal/metric"
 	"mendel/internal/seq"
-	"mendel/internal/vptree"
 	"mendel/internal/wire"
 )
 
 // snapshot is the gob wire form of a node's durable state: the bootstrap
-// parameters plus every stored block and repository sequence. The local
-// vp-tree is rebuilt on load (a balanced bulk build is cheaper than
-// serializing tree structure, and guarantees a well-formed index).
+// parameters plus every stored block and repository sequence. The screen is
+// rebuilt on load from the stored blocks. Snapshots written while nodes
+// took a search budget carry one more field, which gob skips.
 type snapshot struct {
-	Booted       bool
-	Kind         seq.Kind
-	Metric       string
-	BlockLen     int
-	Margin       int
-	SearchBudget int
-	Groups       [][]string
-	HashTree     []byte
-	Blocks       []wire.Block
-	SeqIDs       []seq.ID
-	SeqNames     []string
-	SeqData      [][]byte
+	Booted   bool
+	Kind     seq.Kind
+	Metric   string
+	BlockLen int
+	Margin   int
+	Groups   [][]string
+	HashTree []byte
+	Blocks   []wire.Block
+	SeqIDs   []seq.ID
+	SeqNames []string
+	SeqData  [][]byte
 	// Sketch parameters (zero in snapshots written before the sketch
 	// tier existed; the reloaded node then simply does not sketch). The
 	// sketch itself is not serialized: LoadFrom re-derives it from the
@@ -47,11 +44,10 @@ func (n *Node) SaveTo(w io.Writer) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	snap := snapshot{
-		Booted:       n.booted,
-		Kind:         n.kind,
-		BlockLen:     n.blockLen,
-		Margin:       n.margin,
-		SearchBudget: n.searchBudget,
+		Booted:   n.booted,
+		Kind:     n.kind,
+		BlockLen: n.blockLen,
+		Margin:   n.margin,
 	}
 	if n.booted {
 		snap.Metric = n.met.Name()
@@ -87,7 +83,7 @@ func (n *Node) SaveTo(w io.Writer) error {
 }
 
 // LoadFrom restores a node's state from a snapshot, replacing everything
-// and rebuilding the local vp-tree. The node's address must still appear in
+// and rebuilding the screen. The node's address must still appear in
 // the saved topology.
 func (n *Node) LoadFrom(r io.Reader) error {
 	var snap snapshot
@@ -104,7 +100,6 @@ func (n *Node) LoadFrom(r io.Reader) error {
 		Margin:          snap.Margin,
 		Groups:          snap.Groups,
 		Kind:            snap.Kind,
-		SearchBudget:    snap.SearchBudget,
 		SketchK:         snap.SketchK,
 		SketchBloomBits: snap.SketchBloomBits,
 		SketchMinHashK:  snap.SketchMinHashK,
@@ -112,20 +107,16 @@ func (n *Node) LoadFrom(r io.Reader) error {
 	if _, err := n.bootstrap(boot); err != nil {
 		return err
 	}
-	met, err := metric.ByName(snap.Metric)
-	if err != nil {
-		return err
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	items, err := n.storeBlocks(snap.Blocks)
+	slots, err := n.storeBlocks(snap.Blocks)
 	if err != nil {
 		return fmt.Errorf("loading snapshot: %w", err)
 	}
 	// Snapshots written before saves were ordered list blocks in map order;
-	// sorting keeps the rebuilt tree a function of the block set alone.
-	slices.SortFunc(items, func(a, b vptree.Item) int { return cmp.Compare(a.Ref, b.Ref) })
-	n.tree = vptree.Build(met, 0, 1, items)
+	// sorting lays the screen out as BuildIndex does.
+	slices.SortFunc(slots, func(a, b slot) int { return cmp.Compare(a.ref, b.ref) })
+	n.index(slots)
 	n.blocks.seal()
 	for i, id := range snap.SeqIDs {
 		n.seqs[id] = storedSeq{name: snap.SeqNames[i], data: snap.SeqData[i]}

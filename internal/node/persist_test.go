@@ -49,6 +49,7 @@ func TestSnapshotRoundTripRestoresSearch(t *testing.T) {
 	params.Matrix = "DNA"
 	params.Identity = 0.9
 	params.CScore = 0.5
+	params.GappedS = 0 // the search under test is the restored screen's, not S's
 	resp, err := restored.Handle(ctx, wire.LocalSearch{
 		Query: []byte(ref[10:18]), Offsets: []int{0}, WindowLen: 8, Params: params,
 	})

@@ -46,8 +46,8 @@ func (n *Node) seqIDs() []seq.ID {
 
 // pushBlocks re-replicates the requested blocks to another node via the
 // staged IndexBlocks path. The caller (the coordinator's repair pass) must
-// follow up with a BuildIndex at the target to fold the staged blocks into
-// its vp-tree. Refs the node no longer holds are counted, not fatal: the
+// follow up with a BuildIndex at the target to add the staged blocks to
+// its screen. Refs the node no longer holds are counted, not fatal: the
 // manifest the plan was built from may predate a concurrent change.
 func (n *Node) pushBlocks(ctx context.Context, r wire.PushBlocks) (any, error) {
 	n.mu.RLock()
@@ -127,7 +127,7 @@ type HealthInfo struct {
 	// chunks plus 16 bytes of directory per block, computed from the layout.
 	BlockBytes int `json:"block_bytes"`
 	Sequences  int `json:"sequences"`
-	TreeSize   int `json:"tree_size"`
+	TreeSize   int `json:"tree_size"` // keys in the screen
 	Staged     int `json:"staged"`
 }
 
@@ -135,17 +135,13 @@ type HealthInfo struct {
 func (n *Node) Health() HealthInfo {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	treeSize := 0
-	if n.tree != nil {
-		treeSize = n.tree.Size()
-	}
 	return HealthInfo{
 		Addr:       n.addr,
 		Booted:     n.booted,
 		Blocks:     n.blocks.len(),
 		BlockBytes: n.blocks.bytes(),
 		Sequences:  len(n.seqs),
-		TreeSize:   treeSize,
+		TreeSize:   n.screen.len(),
 		Staged:     len(n.staged),
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"mendel/internal/anchorset"
 	"mendel/internal/matrix"
 	"mendel/internal/obs"
-	"mendel/internal/vptree"
 	"mendel/internal/wire"
 )
 
@@ -20,12 +19,16 @@ import (
 const xDrop = 20
 
 // localSearch executes the per-node half of §V-B: for each subquery window,
-// an n-NN lookup in the local vp-tree produces candidates; candidates are
-// filtered by percent identity and consecutivity score; survivors become
-// anchors extended in both directions within the block's stored context.
-// The identity filter runs inside the lookup (vptree.Searcher.NearestEligible):
-// the n candidates are the nearest keys that pass it, and keys that cannot
-// are dismissed by a match count instead of a full distance.
+// an n-NN lookup produces candidates; candidates are filtered by percent
+// identity and consecutivity score; survivors become anchors extended in
+// both directions within the block's stored context. The lookup is the
+// screen's (screen.nearest): it tests the identity filter on every key the
+// node holds and returns the n nearest keys that pass it, exactly. An
+// extended anchor ships only if its bit score reaches the search's S, the
+// threshold the coordinator gates gapped extension by: merging keeps a
+// union's highest constituent score, so a merged anchor passes S exactly
+// when one of its constituents does, and the rest would cross the wire and
+// two merges for nothing.
 func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error) {
 	start := time.Now()
 	defer func() { n.busyNS.Add(time.Since(start).Nanoseconds()) }()
@@ -51,6 +54,11 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 	if !ok {
 		return nil, fmt.Errorf("node %s: unknown scoring matrix %q", n.addr, r.Params.Matrix)
 	}
+	kp, err := align.ParamsForMatrix(m)
+	if err != nil {
+		return nil, fmt.Errorf("node %s: %w", n.addr, err)
+	}
+	minBits := float64(r.Params.GappedS)
 	if r.WindowLen != n.blockLen {
 		return nil, fmt.Errorf("node %s: window length %d, index uses %d", n.addr, r.WindowLen, n.blockLen)
 	}
@@ -62,7 +70,7 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 	}
 	// Subquery windows are independent; shard them over a few workers.
 	// The node's read lock is held for the whole request, so workers may
-	// touch the tree and block store freely.
+	// touch the screen and block store freely.
 	workers := localSearchWorkers(len(r.Offsets))
 	minMatch := minMatches(r.Params.Identity, r.WindowLen)
 	type workerStats struct {
@@ -73,6 +81,7 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 	}
 	perWorker := make([]workerStats, workers)
 	knnVisits, knnNs := n.reg.Histogram("node_knn_visits"), n.reg.Histogram("node_knn_ns")
+	chunks := n.blocks.chunks
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -82,14 +91,14 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 			// Per-worker consecutivity scratch, reused across every
 			// candidate this worker filters.
 			matched := make([]bool, r.WindowLen)
-			// Per-worker k-NN state (query profile, result heap): a lookup
-			// then allocates only the candidates it returns.
-			var knnState vptree.Searcher
+			// Per-worker lookup state (window masks, profile, result heap):
+			// a lookup then allocates nothing.
+			var knnState screenSearch
 			for i := w; i < len(r.Offsets); i += workers {
 				off := r.Offsets[i]
 				window := r.Query[off : off+r.WindowLen]
 				t0 := time.Now()
-				cands, visits := knnState.NearestEligible(n.tree, window, r.Params.Neighbors, n.searchBudget, minMatch)
+				cands, visits := n.screen.nearest(&knnState, n.met, chunks, window, r.Params.Neighbors, minMatch)
 				knn := time.Since(t0).Nanoseconds()
 				ws.knnNs += knn
 				ws.visits += int64(visits)
@@ -97,16 +106,16 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 				knnNs.Observe(knn)
 				t0 = time.Now()
 				for _, cand := range cands {
-					// cand.Key is the tree's copy of the block's content: the
-					// block store is read only for candidates that become anchors.
-					if cScoreInto(window, cand.Key, m, matched) < r.Params.CScore {
+					if cScoreInto(window, content(chunks, cand.pos, r.WindowLen), m, matched) < r.Params.CScore {
 						continue
 					}
-					block, ok := n.blocks.get(cand.Ref)
+					block, ok := n.blocks.get(cand.ref)
 					if !ok {
 						continue // cannot happen; defensive against store drift
 					}
-					ws.anchors = append(ws.anchors, extendAnchor(r.Query, off, r.WindowLen, block, m))
+					if a := extendAnchor(r.Query, off, r.WindowLen, block, m); kp.BitScore(a.Score) >= minBits {
+						ws.anchors = append(ws.anchors, a)
+					}
 				}
 				ws.extendNs += time.Since(t0).Nanoseconds()
 			}
@@ -138,7 +147,7 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 	return res, nil
 }
 
-// minMatches turns the percent-identity threshold into the count the k-NN
+// minMatches turns the percent-identity threshold into the count the
 // screen takes: the smallest number of exactly matching positions m of a
 // w-residue window for which float64(m)/float64(w) >= identity, w+1 (no key
 // is eligible) when even a full match falls short.

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"mendel/internal/align"
 	"mendel/internal/anchorset"
 	"mendel/internal/matrix"
 	"mendel/internal/metric"
@@ -166,12 +168,15 @@ func TestCScoreIntoScratchReuse(t *testing.T) {
 	}
 }
 
-// TestLocalSearchIsFilterThenExtend: with no k-NN budget and more neighbours
-// asked for than blocks stored, a local search anchors exactly the blocks
-// whose content passes the identity and c-score filters, computed here from
-// the block store with float identities — so the lookup's match-count screen
-// decides as the filter it replaced, and scoring the tree's copy of a key is
-// scoring the block's content.
+// TestLocalSearchIsFilterThenExtend: with more neighbours asked for than
+// blocks stored, a local search anchors exactly the blocks whose content
+// passes the identity and c-score filters, computed here from the block
+// store with float identities — so the screen's match count decides as the
+// filter it replaced, and scoring a candidate's content is scoring the
+// block's. S is a search parameter, and this test checks filter and
+// extension: a DNA anchor reaches S's default 28 bits only past 14 matching
+// residues, which few 8-mer anchors here do, so most cases set S to 0; the
+// default-S cases apply the same gate to the anchors they expect.
 func TestLocalSearchIsFilterThenExtend(t *testing.T) {
 	const w = 8
 	_, nodes, _ := testCluster(t, 1, w)
@@ -179,25 +184,38 @@ func TestLocalSearchIsFilterThenExtend(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
 	var blocks []wire.Block
+	var first []byte
 	for id := seq.ID(1); id <= 6; id++ {
-		blocks = append(blocks, blocksFor(t, id, string(randDNA(rng, 90)), w)...)
+		data := randDNA(rng, 90)
+		if id == 1 {
+			first = data
+		}
+		blocks = append(blocks, blocksFor(t, id, string(data), w)...)
 	}
 	if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: blocks}); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := matrix.ByName("DNA")
+	kp, err := align.ParamsForMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	query := randDNA(rng, 40)
 	offsets := []int{0, 7, 16, 32}
-	copy(query, blocks[10].Content)       // a full match at offset 0
+	copy(query, first[2:18])              // full matches at offsets 0 and 7 that extend to 16 residues
 	copy(query[16:], blocks[200].Content) // and 7 of 8 at offset 16
 	if query[19] == 'A' {
 		query[19] = 'C'
 	} else {
 		query[19] = 'A'
 	}
-	for _, identity := range []float64{0, 0.3, 0.5, 0.625, 0.9} {
+	defaultS := wire.DefaultParams().GappedS
+	for _, c := range []struct {
+		identity float64
+		s        int
+	}{{0, 0}, {0.3, 0}, {0.5, 0}, {0.625, 0}, {0.9, 0}, {0.3, defaultS}, {0.9, defaultS}} {
 		params := wire.DefaultParams()
-		params.Matrix, params.Identity, params.CScore, params.Neighbors = "DNA", identity, 0.4, len(blocks)+1
+		params.Matrix, params.Identity, params.CScore, params.Neighbors, params.GappedS = "DNA", c.identity, 0.4, len(blocks)+1, c.s
 		resp, err := n.Handle(ctx, wire.LocalSearch{Query: query, Offsets: offsets, WindowLen: w, Params: params})
 		if err != nil {
 			t.Fatal(err)
@@ -207,15 +225,83 @@ func TestLocalSearchIsFilterThenExtend(t *testing.T) {
 			window := query[off : off+w]
 			for _, b := range blocks {
 				same := w - metric.Hamming{}.Distance(window, b.Content)
-				if float64(same)/float64(w) >= identity && cScore(window, b.Content, m) >= params.CScore {
-					want = append(want, extendAnchor(query, off, w, b, m))
+				if float64(same)/float64(w) < c.identity || cScore(window, b.Content, m) < params.CScore {
+					continue
+				}
+				if a := extendAnchor(query, off, w, b, m); kp.BitScore(a.Score) >= float64(c.s) {
+					want = append(want, a)
 				}
 			}
 		}
 		want = anchorset.Merge(want)
 		got := resp.(wire.LocalSearchResult).Anchors
 		if len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("identity %v: %d anchors, filter-then-extend over the block store gives %d\n got  %+v\n want %+v", identity, len(got), len(want), got, want)
+			t.Fatalf("identity %v, S %d: %d anchors, filter-then-extend over the block store gives %d\n got  %+v\n want %+v", c.identity, c.s, len(got), len(want), got, want)
 		}
 	}
+}
+
+// TestLocalSearchShipsOnlyAnchorsAboveS: a node ships no anchor below the
+// search's S, and what it ships is what an S gate after the merge would let
+// through, one candidate per (sequence, diagonal) with the same best score —
+// so the coordinator's gapped stage sees the same candidates as when every
+// anchor crossed the wire.
+func TestLocalSearchShipsOnlyAnchorsAboveS(t *testing.T) {
+	const w = 8
+	_, nodes, _ := testCluster(t, 1, w)
+	n := nodes[0]
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	data := randDNA(rng, 400)
+	if _, err := n.Handle(ctx, wire.IndexBlocks{Blocks: blocksFor(t, 1, string(data), w)}); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := matrix.ByName("DNA")
+	kp, err := align.ParamsForMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := randDNA(rng, 120)
+	copy(query[40:], data[200:230]) // one strong diagonal among chance hits
+	var offsets []int
+	for off := 0; off+w <= len(query); off += 4 {
+		offsets = append(offsets, off)
+	}
+	search := func(s int) []wire.Anchor {
+		t.Helper()
+		params := wire.DefaultParams()
+		params.Matrix, params.Identity, params.Neighbors, params.GappedS = "DNA", 0.5, 50, s
+		resp, err := n.Handle(ctx, wire.LocalSearch{Query: query, Offsets: offsets, WindowLen: w, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.(wire.LocalSearchResult).Anchors
+	}
+	all, shipped := search(0), search(wire.DefaultParams().GappedS)
+	s := float64(wire.DefaultParams().GappedS)
+	var above []wire.Anchor
+	for _, a := range all {
+		if kp.BitScore(a.Score) >= s {
+			above = append(above, a)
+		}
+	}
+	if len(shipped) == 0 || len(above) == len(all) {
+		t.Fatalf("%d anchors without S, %d of them above it, %d shipped: the data does not test the gate", len(all), len(above), len(shipped))
+	}
+	for _, a := range shipped {
+		if kp.BitScore(a.Score) < s {
+			t.Fatalf("shipped anchor %+v scores %.1f bits, below S = %v", a, kp.BitScore(a.Score), s)
+		}
+	}
+	if got, want := anchorset.PerDiagonal(shipped), anchorset.PerDiagonal(above); !sameCandidates(got, want) {
+		t.Fatalf("gated on the node: %+v\ngated after the merge: %+v", got, want)
+	}
+}
+
+// sameCandidates reports whether two PerDiagonal results name the same
+// (sequence, diagonal, score) candidates.
+func sameCandidates(a, b []wire.Anchor) bool {
+	return slices.EqualFunc(a, b, func(x, y wire.Anchor) bool {
+		return x.Seq == y.Seq && x.Diagonal() == y.Diagonal() && x.Score == y.Score
+	})
 }

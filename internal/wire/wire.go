@@ -125,9 +125,6 @@ type Bootstrap struct {
 	Margin   int
 	Groups   [][]string
 	Kind     seq.Kind
-	// SearchBudget caps the distance evaluations of each local vp-tree
-	// lookup (0 = exact search). See vptree.NearestBudget.
-	SearchBudget int
 	// SketchK, SketchBloomBits and SketchMinHashK distribute the cluster's
 	// sketch shape (internal/sketch.Params) so every node builds identical,
 	// mergeable k-mer signatures during ingest. SketchK == 0 — the value a
@@ -152,11 +149,11 @@ type UpdateTopology struct {
 type UpdateTopologyAck struct{}
 
 // IndexBlocks stores a batch of blocks on the receiving node. With Stage
-// set the node records the blocks but defers vp-tree insertion until a
+// set the node records the blocks but makes them searchable only when a
 // BuildIndex message arrives; the parallel ingest pipeline uses this so the
-// tree is constructed once, in bulk, from an arrival-order-independent
-// (sorted) item set — making the index deterministic no matter how many
-// concurrent senders delivered the blocks.
+// index grows once, in bulk, from an arrival-order-independent (sorted)
+// block set — making it deterministic no matter how many concurrent senders
+// delivered the blocks.
 type IndexBlocks struct {
 	Blocks []Block
 	Stage  bool
@@ -167,9 +164,8 @@ type IndexBlocksAck struct {
 	Accepted int
 }
 
-// BuildIndex tells a node to fold every staged block into its local vp-tree
-// with one bulk median-split build. Idempotent: with nothing staged it is a
-// no-op.
+// BuildIndex tells a node to add every staged block to its local index in
+// one bulk append. Idempotent: with nothing staged it is a no-op.
 type BuildIndex struct{}
 
 // BuildIndexAck reports how many staged blocks the build consumed.
@@ -206,8 +202,8 @@ type Region struct {
 }
 
 // LocalSearch runs subquery windows against the receiving node's local
-// vp-tree: n-NN lookup, identity and c-score filtering, and margin-based
-// anchor extension (§V-B). The full query travels with the request (queries
+// index: n-NN lookup, identity and c-score filtering, margin-based anchor
+// extension (§V-B), and the S threshold on the extended anchors. The full query travels with the request (queries
 // are short relative to the database) so extension can grow anchors beyond
 // the seed window on the query side too.
 type LocalSearch struct {
@@ -220,9 +216,9 @@ type LocalSearch struct {
 // LocalSearchResult returns the node's extended anchors for the subqueries,
 // plus the node-side timing breakdown so coordinators can attribute query
 // latency to the paper's stages without extra round trips: KNNNs is the time
-// spent in vp-tree nearest-neighbour lookups, ExtendNs the time spent in
-// filtering and ungapped anchor extension, and Visits the number of vp-tree
-// distance evaluations consumed.
+// spent in nearest-neighbour lookups, ExtendNs the time spent in filtering
+// and ungapped anchor extension, and Visits the number of distance
+// evaluations consumed (keys that passed the identity screen).
 type LocalSearchResult struct {
 	Anchors  []Anchor
 	KNNNs    int64
@@ -404,7 +400,7 @@ type StatsResult struct {
 	Blocks    int
 	Residues  int
 	Sequences int
-	TreeSize  int
+	TreeSize  int // keys in the node's search index, named for the vp-tree it once was
 	BusyNS    int64
 	// TopoNodes is the cluster size in the node's own topology view; a node
 	// that missed an UpdateTopology broadcast disagrees with the
