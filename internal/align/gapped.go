@@ -1,10 +1,15 @@
 package align
 
 import (
+	"math/bits"
+
 	"mendel/internal/matrix"
 )
 
-const negInf = int(-1) << 40
+// negInf scores an unreachable cell: -2^40 where int has 64 bits, -2^24
+// where it has 32, far below any score and far from overflowing when
+// penalties are added to it.
+const negInf = -1 << (bits.UintSize/2 + 8)
 
 // traceback direction encoding. The low two bits give the source of the H
 // (best) matrix at a cell; two more bits record whether the gap matrices

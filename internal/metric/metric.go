@@ -43,6 +43,10 @@ type Metric interface {
 // residue i of the query and byte c. A k-NN lookup compares one query with
 // thousands of keys, so it builds the profile once and then pays one table
 // load per residue; a 16-residue window's profile is 8 KiB and stays in L1.
+// The vp-tree, and with it the benchmark's offline replay, scores keys through
+// it. A node's screen does not: it decodes a key's residue codes from its
+// bit-planes and sums them in a table of position by code, filled from
+// per-residue Distance values.
 type Profile [][256]uint16
 
 // Distance returns the distance between the profiled query and key, which

@@ -117,7 +117,7 @@ func (s *blockStore) merged() ([]uint64, []blockLoc) {
 func (s *blockStore) check(b *wire.Block) error {
 	ref := invindex.PackRef(b.Seq, b.Start)
 	switch _, start := invindex.UnpackRef(ref); {
-	case start != b.Start:
+	case b.Start < 0 || start != b.Start: // where int has 32 bits a negative start survives the round trip
 		return fmt.Errorf("block seq=%d: start %d does not fit a packed reference", b.Seq, b.Start)
 	case len(b.Content) != s.blockLen:
 		return fmt.Errorf("block %#x: block length %d, expected %d", ref, len(b.Content), s.blockLen)

@@ -213,7 +213,7 @@ func (n *Node) bootstrap(b wire.Bootstrap) (any, error) {
 	n.topo = topo
 	n.hashTree = b.HashTree
 	n.group = group
-	n.screen = newScreen(b.Kind, b.BlockLen)
+	n.screen = newScreen(b.Kind, b.BlockLen, met)
 	n.blocks = blocks
 	n.seqs = make(map[seq.ID]storedSeq)
 	n.staged = nil
@@ -303,7 +303,7 @@ func (n *Node) storeBlocks(blocks []wire.Block) ([]slot, error) {
 func (n *Node) index(slots []slot) {
 	n.screen.reserve(len(slots))
 	for _, s := range slots {
-		n.screen.add(content(n.blocks.chunks, s.pos, n.blockLen), s.ref, s.pos)
+		n.screen.add(content(n.blocks.chunks, s.pos, n.blockLen), s.ref)
 	}
 }
 

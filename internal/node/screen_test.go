@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"mendel/internal/datagen"
 	"mendel/internal/invindex"
+	"mendel/internal/matrix"
 	"mendel/internal/metric"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
@@ -21,8 +24,14 @@ import (
 // build adds sorted by reference before the rest arrive one at a time. For
 // query windows that may hold bytes outside the alphabet and every minMatch
 // from 0 to w+1, the keys that pass must be exactly those with
-// metric.MatchCount >= minMatch, and the n nearest must be those of a
-// brute-force sort by (profile distance, reference).
+// metric.MatchCount >= minMatch, the n nearest must be those of a
+// brute-force sort by (metric.Distance, reference), and every candidate's
+// c-score read from the planes must equal cScore of its content, to the bit,
+// under BLOSUM62 or PAM250 for protein and the DNA matrix for DNA. Block
+// lengths 31, 32 and 33 straddle the count width the kernel keeps in
+// registers. When bit 6 of nIn is set the screen carries a spare plane, so
+// that the paths for any plane count are checked beside those unrolled for
+// the shipped shapes, 16 positions of 5 planes (protein) or 3 (DNA).
 func FuzzScreen(f *testing.F) {
 	f.Add(int64(1), false, uint8(16), uint16(200), uint16(150), uint8(12))
 	f.Add(int64(2), true, uint8(16), uint16(1000), uint16(1000), uint8(12))
@@ -30,10 +39,15 @@ func FuzzScreen(f *testing.F) {
 	f.Add(int64(4), false, uint8(39), uint16(129), uint16(64), uint8(200)) // w = 40: counts past 31
 	f.Add(int64(69), true, uint8(36), uint16(162), uint16(94), uint8(82))
 	f.Add(int64(5), true, uint8(7), uint16(63), uint16(10), uint8(1))
+	f.Add(int64(6), false, uint8(15), uint16(700), uint16(300), uint8(12)) // protein 16 × 5
+	f.Add(int64(7), true, uint8(15), uint16(700), uint16(300), uint8(12))  // DNA 16 × 3
+	f.Add(int64(8), false, uint8(30), uint16(300), uint16(100), uint8(20)) // w = 31
+	f.Add(int64(9), false, uint8(31), uint16(300), uint16(100), uint8(20)) // w = 32
+	f.Add(int64(10), true, uint8(32), uint16(300), uint16(100), uint8(20)) // w = 33
 	f.Fuzz(func(t *testing.T, seed int64, dna bool, wIn uint8, count, bulk uint16, nIn uint8) {
-		kind := seq.Protein
+		kind, m := seq.Protein, []*matrix.Matrix{matrix.BLOSUM62, matrix.PAM250}[seed&1]
 		if dna {
-			kind = seq.DNA
+			kind, m = seq.DNA, matrix.DNAUnit
 		}
 		w, keys := int(wIn)%40+1, int(count)%1200
 		bulkKeys, n := int(bulk)%(keys+1), int(nIn)%64+1
@@ -69,7 +83,10 @@ func FuzzScreen(f *testing.F) {
 			}
 			all[j] = key{content, slot{invindex.PackRef(b.Seq, 0), pos}}
 		}
-		sc := newScreen(kind, w)
+		sc := newScreen(kind, w, met)
+		if nIn&64 != 0 {
+			sc.planes++ // no key holds a code with the spare plane set
+		}
 		bulkSlots := make([]slot, bulkKeys)
 		for j := range bulkSlots {
 			bulkSlots[j] = all[j].slot
@@ -77,13 +94,17 @@ func FuzzScreen(f *testing.F) {
 		slices.SortFunc(bulkSlots, func(a, b slot) int { return cmp.Compare(a.ref, b.ref) })
 		sc.reserve(len(bulkSlots))
 		for _, s := range bulkSlots {
-			sc.add(content(store.chunks, s.pos, w), s.ref, s.pos)
+			sc.add(content(store.chunks, s.pos, w), s.ref)
 		}
 		for _, k := range all[bulkKeys:] {
-			sc.add(k.content, k.ref, k.pos)
+			sc.add(k.content, k.ref)
 		}
 		if sc.len() != keys {
 			t.Fatalf("screen holds %d keys, want %d", sc.len(), keys)
+		}
+		index := make(map[uint64]int, keys) // a reference's key in the screen
+		for i, ref := range sc.refs {
+			index[ref] = i
 		}
 
 		var st screenSearch
@@ -100,29 +121,81 @@ func FuzzScreen(f *testing.F) {
 					window[i] = []byte{0, 'j', 'J', 'a', 0xff}[rng.Intn(5)]
 				}
 			}
-			prof := met.Profile(window, nil)
+			contents := make(map[int][]byte)
 			for minMatch := 0; minMatch <= w+1; minMatch++ {
 				var want []candidate
 				for _, k := range all {
 					if metric.MatchCount(window, k.content) >= minMatch {
-						want = append(want, candidate{prof.Distance(k.content), k.ref, k.pos})
+						i := index[k.ref]
+						want = append(want, candidate{met.Distance(window, k.content), k.ref, i})
+						contents[i] = k.content
 					}
 				}
 				slices.SortFunc(want, func(a, b candidate) int {
 					return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.ref, b.ref))
 				})
-				got, eligible := sc.nearest(&st, met, store.chunks, window, keys+1, minMatch)
+				got, eligible := sc.nearest(&st, window, keys+1, minMatch)
 				if eligible != len(want) || !slices.Equal(got, want) {
 					t.Fatalf("w=%d minMatch=%d window %q: %d keys pass the screen, want %d\n got  %v\n want %v",
 						w, minMatch, window, eligible, len(want), got, want)
 				}
-				got, _ = sc.nearest(&st, met, store.chunks, window, n, minMatch)
+				got, _ = sc.nearest(&st, window, n, minMatch)
 				if top := want[:min(n, len(want))]; !slices.Equal(got, top) {
 					t.Fatalf("w=%d minMatch=%d n=%d: nearest %v, want %v", w, minMatch, n, got, top)
 				}
 			}
+			if len(contents) > 0 {
+				sc.matchCodes(&st, window, m)
+			}
+			for i, c := range contents {
+				if got, want := sc.cScore(&st, i), cScore(window, c, m); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("w=%d %s window %q key %q: c-score %v from the planes, %v from the bytes", w, m.Name, window, c, got, want)
+				}
+			}
 		}
 	})
+}
+
+// TestScreenCScore: the c-score a lookup reads from the planes equals cScore
+// of the key's bytes, to the bit, for every key of a screen, under BLOSUM62,
+// PAM250 and the DNA matrix, and for windows with bytes outside the alphabet.
+func TestScreenCScore(t *testing.T) {
+	var st screenSearch
+	for _, tc := range []struct {
+		kind seq.Kind
+		m    *matrix.Matrix
+	}{{seq.Protein, matrix.BLOSUM62}, {seq.Protein, matrix.PAM250}, {seq.DNA, matrix.DNAUnit}} {
+		letters := seq.AlphabetFor(tc.kind).Letters()
+		rng := rand.New(rand.NewSource(int64(len(letters))))
+		for _, w := range []int{1, 2, 16, 31, 32, 33} {
+			sc := newScreen(tc.kind, w, metric.ForKind(tc.kind))
+			keys := make([][]byte, 150)
+			for j := range keys {
+				keys[j] = make([]byte, w)
+				for i := range keys[j] {
+					keys[j][i] = letters[rng.Intn(len(letters))]
+				}
+				sc.add(keys[j], uint64(j))
+			}
+			for q := 0; q < 20; q++ {
+				window := slices.Clone(keys[rng.Intn(len(keys))])
+				for i := range window {
+					switch rng.Intn(4) {
+					case 0:
+						window[i] = letters[rng.Intn(len(letters))]
+					case 1:
+						window[i] = []byte{0, 'j', 'J', 'a', 'c', '*', 0xff}[rng.Intn(7)]
+					}
+				}
+				sc.matchCodes(&st, window, tc.m)
+				for j, key := range keys {
+					if got, want := sc.cScore(&st, j), cScore(window, key, tc.m); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s w=%d window %q key %q: c-score %v from the planes, %v from the bytes", tc.m.Name, w, window, key, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestForeignResiduesAreRefused: a node stores only its kind's letters, in
@@ -175,23 +248,71 @@ func TestForeignResiduesAreRefused(t *testing.T) {
 	}
 }
 
-// BenchmarkScreenLookup times the screen's lookup on the query_short
-// placement: every probe window on every node it is routed to, per lookup.
+// BenchmarkScreenLookup times the screen's lookup at the default search
+// parameters, per lookup and per key screened. "protein" is the query_short
+// placement, 16 positions of 5 planes: every probe window on every node it is
+// routed to. "dna", 16 positions of 3 planes, screens 96 windows against one
+// node's share of a DNA database of that size, 10,000 keys of 400 random
+// sequences, each window a database window with half its positions redrawn.
 func BenchmarkScreenLookup(b *testing.B) {
-	pl := placeQueryShort(b, 1)
 	p := wire.DefaultParams()
-	minMatch := minMatches(p.Identity, pl.cfg.BlockLen)
-	var st screenSearch
-	lookups, eligible := 0, 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, pr := range pl.probes {
-			pl.route(pr.query, func(_ int, window []byte, _ string, pn *placedNode) {
-				_, e := pn.screen.nearest(&st, pl.met, pn.store.chunks, window, p.Neighbors, minMatch)
-				lookups, eligible = lookups+1, eligible+e
-			})
-		}
+	report := func(b *testing.B, lookups, keys, eligible int) {
+		ns := float64(b.Elapsed().Nanoseconds())
+		b.ReportMetric(ns/1e3/float64(lookups), "µs/lookup")
+		b.ReportMetric(ns/float64(keys), "ns/key")
+		b.ReportMetric(float64(eligible)/float64(lookups), "eligible/lookup")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(lookups), "µs/lookup")
-	b.ReportMetric(float64(eligible)/float64(lookups), "eligible/lookup")
+	b.Run("protein", func(b *testing.B) {
+		pl := placeQueryShort(b, 1)
+		minMatch := minMatches(p.Identity, pl.cfg.BlockLen)
+		var st screenSearch
+		lookups, keys, eligible := 0, 0, 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, pr := range pl.probes {
+				pl.route(pr.query, func(_ int, window []byte, _ string, pn *placedNode) {
+					_, e := pn.screen.nearest(&st, window, p.Neighbors, minMatch)
+					lookups, keys, eligible = lookups+1, keys+pn.screen.len(), eligible+e
+				})
+			}
+		}
+		report(b, lookups, keys, eligible)
+	})
+	b.Run("dna", func(b *testing.B) {
+		const w = 16
+		db, err := datagen.New(seq.DNA, 1).Database(400, 40, 0, "dna")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc := newScreen(seq.DNA, w, metric.ForKind(seq.DNA))
+		var all [][]byte
+		for _, s := range db.Seqs {
+			for start := 0; start+w <= s.Len(); start++ {
+				all = append(all, s.Window(start, w))
+				sc.add(all[len(all)-1], invindex.PackRef(s.ID, start))
+			}
+		}
+		letters := seq.AlphabetFor(seq.DNA).Letters()
+		rng := rand.New(rand.NewSource(1))
+		windows := make([][]byte, 96)
+		for i := range windows {
+			windows[i] = bytes.Clone(all[rng.Intn(len(all))])
+			for j := range windows[i] {
+				if rng.Intn(2) == 0 {
+					windows[i][j] = letters[rng.Intn(len(letters))]
+				}
+			}
+		}
+		minMatch := minMatches(p.Identity, w)
+		var st screenSearch
+		lookups, keys, eligible := 0, 0, 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, window := range windows {
+				_, e := sc.nearest(&st, window, p.Neighbors, minMatch)
+				lookups, keys, eligible = lookups+1, keys+sc.len(), eligible+e
+			}
+		}
+		report(b, lookups, keys, eligible)
+	})
 }

@@ -23,7 +23,9 @@ const xDrop = 20
 // identity and consecutivity score; survivors become anchors extended in
 // both directions within the block's stored context. The lookup is the
 // screen's (screen.nearest): it tests the identity filter on every key the
-// node holds and returns the n nearest keys that pass it, exactly. An
+// node holds and returns the n nearest keys that pass it, exactly. Lookup
+// and c-score read only the screen's bit-planes; a candidate's block is read
+// from the store only once it passes its c-score, for extension. An
 // extended anchor ships only if its bit score reaches the search's S, the
 // threshold the coordinator gates gapped extension by: merging keeps a
 // union's highest constituent score, so a merged anchor passes S exactly
@@ -81,32 +83,31 @@ func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error)
 	}
 	perWorker := make([]workerStats, workers)
 	knnVisits, knnNs := n.reg.Histogram("node_knn_visits"), n.reg.Histogram("node_knn_ns")
-	chunks := n.blocks.chunks
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
 			var ws workerStats
-			// Per-worker consecutivity scratch, reused across every
-			// candidate this worker filters.
-			matched := make([]bool, r.WindowLen)
-			// Per-worker lookup state (window masks, profile, result heap):
-			// a lookup then allocates nothing.
+			// Per-worker lookup state (window masks, c-score table, decoded
+			// codes, result heap): a lookup then allocates nothing.
 			var knnState screenSearch
 			for i := w; i < len(r.Offsets); i += workers {
 				off := r.Offsets[i]
 				window := r.Query[off : off+r.WindowLen]
 				t0 := time.Now()
-				cands, visits := n.screen.nearest(&knnState, n.met, chunks, window, r.Params.Neighbors, minMatch)
+				cands, visits := n.screen.nearest(&knnState, window, r.Params.Neighbors, minMatch)
 				knn := time.Since(t0).Nanoseconds()
 				ws.knnNs += knn
 				ws.visits += int64(visits)
 				knnVisits.Observe(int64(visits))
 				knnNs.Observe(knn)
 				t0 = time.Now()
+				if len(cands) > 0 {
+					n.screen.matchCodes(&knnState, window, m)
+				}
 				for _, cand := range cands {
-					if cScoreInto(window, content(chunks, cand.pos, r.WindowLen), m, matched) < r.Params.CScore {
+					if n.screen.cScore(&knnState, cand.key) < r.Params.CScore {
 						continue
 					}
 					block, ok := n.blocks.get(cand.ref)
@@ -172,47 +173,6 @@ func localSearchWorkers(nOffsets int) int {
 		workers = nOffsets
 	}
 	return workers
-}
-
-// cScore is the paper's consecutivity score: of the matching positions, the
-// fraction that sit in runs of at least two. For protein data a position
-// "matches" when the scoring matrix gives the substitution a positive score
-// (§V-B); exact equality always matches.
-func cScore(window, candidate []byte, m *matrix.Matrix) float64 {
-	return cScoreInto(window, candidate, m, make([]bool, len(window)))
-}
-
-// cScoreInto is cScore with caller-owned match scratch (len(window) bools),
-// letting the localSearch workers score thousands of candidates without
-// per-candidate allocation.
-func cScoreInto(window, candidate []byte, m *matrix.Matrix, matched []bool) float64 {
-	n := len(window)
-	if n == 0 {
-		return 0
-	}
-	matched = matched[:n]
-	total := 0
-	for i := 0; i < n; i++ {
-		// Assign (not just set) so a reused scratch carries no stale trues.
-		ok := window[i] == candidate[i] || m.Score(window[i], candidate[i]) > 0
-		matched[i] = ok
-		if ok {
-			total++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	consecutive := 0
-	for i := 0; i < n; i++ {
-		if !matched[i] {
-			continue
-		}
-		if (i > 0 && matched[i-1]) || (i < n-1 && matched[i+1]) {
-			consecutive++
-		}
-	}
-	return float64(consecutive) / float64(total)
 }
 
 // extendAnchor grows a seed match in both directions: on the subject side

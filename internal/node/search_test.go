@@ -16,6 +16,41 @@ import (
 	"mendel/internal/wire"
 )
 
+// cScore is the paper's consecutivity score: of the matching positions, the
+// fraction that sit in runs of at least two. For protein data a position
+// "matches" when the scoring matrix gives the substitution a positive score
+// (§V-B); exact equality always matches. A lookup reads this score from the
+// screen's planes (screen.cScore); this byte form is the reference the tests
+// hold it to.
+func cScore(window, candidate []byte, m *matrix.Matrix) float64 {
+	n := len(window)
+	if n == 0 {
+		return 0
+	}
+	matched := make([]bool, n)
+	total := 0
+	for i := 0; i < n; i++ {
+		ok := window[i] == candidate[i] || m.Score(window[i], candidate[i]) > 0
+		matched[i] = ok
+		if ok {
+			total++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	consecutive := 0
+	for i := 0; i < n; i++ {
+		if !matched[i] {
+			continue
+		}
+		if (i > 0 && matched[i-1]) || (i < n-1 && matched[i+1]) {
+			consecutive++
+		}
+	}
+	return float64(consecutive) / float64(total)
+}
+
 // TestMinMatchesIsTheIdentityFilter: for every window length, threshold and
 // match count, "matches >= minMatches" decides exactly as the filter the
 // lookup's screen replaced, float64(matches)/float64(w) >= identity.
@@ -140,31 +175,6 @@ func TestLocalSearchWorkers(t *testing.T) {
 	}
 	if got := localSearchWorkers(0); got != 0 {
 		t.Errorf("0 offsets: workers = %d, want 0", got)
-	}
-}
-
-// TestCScoreIntoScratchReuse feeds the same scratch through candidates with
-// progressively fewer matches: stale trues from a previous call must not
-// leak into the next score.
-func TestCScoreIntoScratchReuse(t *testing.T) {
-	m, _ := matrix.ByName("DNA")
-	scratch := make([]bool, 8)
-	if got := cScoreInto([]byte("ACGTACGT"), []byte("ACGTACGT"), m, scratch); got != 1.0 {
-		t.Fatalf("all-match = %f, want 1", got)
-	}
-	// Alternating matches: no runs, so consecutivity is 0. A stale scratch
-	// from the all-match call would report every position consecutive.
-	if got := cScoreInto([]byte("ACACAC"), []byte("AGAGAG"), m, scratch); got != 0.0 {
-		t.Fatalf("alternating after all-match = %f, want 0 (stale scratch?)", got)
-	}
-	if got := cScoreInto([]byte("AAAA"), []byte("TTTT"), m, scratch); got != 0 {
-		t.Fatalf("no-match after reuse = %f, want 0", got)
-	}
-	for trial := 0; trial < 3; trial++ {
-		want := cScore([]byte("AACGTA"), []byte("AATGCA"), m)
-		if got := cScoreInto([]byte("AACGTA"), []byte("AATGCA"), m, scratch); got != want {
-			t.Fatalf("trial %d: reuse = %f, fresh = %f", trial, got, want)
-		}
 	}
 }
 

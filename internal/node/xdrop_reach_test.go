@@ -107,7 +107,7 @@ func placeQueryShort(t testing.TB, scale int) *placement {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl.nodes[name] = &placedNode{store: &store, screen: newScreen(seq.Protein, pl.cfg.BlockLen)}
+		pl.nodes[name] = &placedNode{store: &store, screen: newScreen(seq.Protein, pl.cfg.BlockLen, pl.met)}
 	}
 	for _, s := range db.Seqs {
 		for _, b := range toWire(s, pl.cfg) {
@@ -121,7 +121,7 @@ func placeQueryShort(t testing.TB, scale int) *placement {
 		slices.SortFunc(pn.slots, func(a, b slot) int { return cmp.Compare(a.ref, b.ref) })
 		pn.screen.reserve(len(pn.slots))
 		for _, s := range pn.slots {
-			pn.screen.add(content(pn.store.chunks, s.pos, pl.cfg.BlockLen), s.ref, s.pos)
+			pn.screen.add(content(pn.store.chunks, s.pos, pl.cfg.BlockLen), s.ref)
 		}
 	}
 	return pl
@@ -171,7 +171,7 @@ func TestXDropReach(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, w := wire.DefaultParams(), pl.cfg.BlockLen
-	minMatch, matched := minMatches(p.Identity, w), make([]bool, w)
+	minMatch := minMatches(p.Identity, w)
 	var st screenSearch
 	type tally struct {
 		reach                      []int // residues walked per side, over the whole sequence
@@ -180,9 +180,12 @@ func TestXDropReach(t *testing.T) {
 	var source, background tally
 	for _, pr := range pl.probes {
 		pl.route(pr.query, func(off int, window []byte, _ string, pn *placedNode) {
-			cands, _ := pn.screen.nearest(&st, pl.met, pn.store.chunks, window, p.Neighbors, minMatch)
+			cands, _ := pn.screen.nearest(&st, window, p.Neighbors, minMatch)
+			if len(cands) > 0 {
+				pn.screen.matchCodes(&st, window, m)
+			}
 			for _, c := range cands {
-				if cScoreInto(window, content(pn.store.chunks, c.pos, w), m, matched) < p.CScore {
+				if pn.screen.cScore(&st, c.key) < p.CScore {
 					continue
 				}
 				b, _ := pn.store.get(c.ref)
@@ -248,7 +251,7 @@ func TestNodeScale(t *testing.T) {
 			}
 			trees[name] = vptree.Build(pl.met, 0, 1, items)
 			s := &pn.screen
-			keys, screenBytes = keys+s.len(), screenBytes+8*cap(s.words)+8*cap(s.refs)+4*cap(s.pos)
+			keys, screenBytes = keys+s.len(), screenBytes+8*cap(s.words)+8*cap(s.refs)
 		}
 		// found reports whether refs hold the probe's source block on its
 		// own diagonal, give or take the drift of the mutation's indels.
@@ -281,7 +284,7 @@ func TestNodeScale(t *testing.T) {
 		}
 		methods := []*method{
 			{name: "screen", lookup: func(pn *placedNode, _ string, window []byte) []uint64 {
-				cands, e := pn.screen.nearest(&st, pl.met, pn.store.chunks, window, p.Neighbors, minMatch)
+				cands, e := pn.screen.nearest(&st, window, p.Neighbors, minMatch)
 				eligible, lookups = eligible+e, lookups+1
 				refs := make([]uint64, len(cands))
 				for i, c := range cands {
