@@ -1,10 +1,8 @@
 package mendel
 
-// One testing.B benchmark per table and figure of the paper's evaluation
-// (§VI), plus the ablations DESIGN.md calls out and micro-benchmarks of the
-// hot paths. The full-size experiment runner with larger workloads is
-// cmd/mendel-bench; these run the identical harness at benchmark-friendly
-// scale so `go test -bench=.` regenerates every result quickly.
+// Micro-benchmarks of the hot paths and of whole in-process queries, ingest
+// and repair. Performance claims are made with the benchmark ledger
+// (bash benchmark/run.sh), not with these.
 
 import (
 	"context"
@@ -13,24 +11,12 @@ import (
 	"testing"
 
 	"mendel/internal/align"
-	"mendel/internal/bench"
 	"mendel/internal/matrix"
 	"mendel/internal/metric"
 	"mendel/internal/node"
 	"mendel/internal/seq"
 	"mendel/internal/vptree"
 )
-
-// benchScale is the workload used by the figure benchmarks.
-func benchScale() bench.Scale {
-	s := bench.TestScale()
-	s.Nodes = 8
-	s.Groups = 4
-	s.DBSequences = 60
-	s.SeqLen = 400
-	s.QueriesPerPoint = 2
-	return s
-}
 
 // BenchmarkTable1Params covers Table I: the full parameter validation path
 // exercised once per query.
@@ -43,124 +29,6 @@ func BenchmarkTable1Params(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFig5LoadBalance regenerates Fig. 5 (flat vs two-tier placement).
-func BenchmarkFig5LoadBalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig5(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(bench.Spread(res.TwoTierPct), "two-tier-spread-%")
-		b.ReportMetric(bench.Spread(res.FlatPct), "flat-spread-%")
-	}
-}
-
-// BenchmarkFig6aQueryLength regenerates Fig. 6a (turnaround vs query
-// length, Mendel vs BLAST).
-func BenchmarkFig6aQueryLength(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig6a(benchScale(), []int{100, 200, 300})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(last.MendelMS, "mendel-ms@max-len")
-		b.ReportMetric(last.BlastMS, "blast-ms@max-len")
-	}
-}
-
-// BenchmarkFig6bDatabaseSize regenerates Fig. 6b (turnaround vs database
-// size).
-func BenchmarkFig6bDatabaseSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig6b(benchScale(), []int{20, 40, 80}, 150)
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := res.Points[0], res.Points[len(res.Points)-1]
-		if first.MendelMS > 0 {
-			b.ReportMetric(last.MendelMS/first.MendelMS, "mendel-growth-x")
-		}
-		if first.BlastMS > 0 {
-			b.ReportMetric(last.BlastMS/first.BlastMS, "blast-growth-x")
-		}
-	}
-}
-
-// BenchmarkFig6cClusterScaling regenerates Fig. 6c (turnaround vs cluster
-// size).
-func BenchmarkFig6cClusterScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig6c(benchScale(), []int{4, 8, 16}, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Points[0].CriticalMS, "critical-ms@4nodes")
-		b.ReportMetric(res.Points[len(res.Points)-1].CriticalMS, "critical-ms@16nodes")
-	}
-}
-
-// BenchmarkFig6dSensitivity regenerates Fig. 6d (recall vs similarity).
-func BenchmarkFig6dSensitivity(b *testing.B) {
-	s := benchScale()
-	s.DBSequences = 20
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig6d(s, []float64{0.9, 0.6, 0.4}, 6, 400)
-		if err != nil {
-			b.Fatal(err)
-		}
-		low := res.Points[len(res.Points)-1]
-		b.ReportMetric(low.MendelRecall, "mendel-recall@low-sim")
-		b.ReportMetric(low.BlastRecall, "blast-recall@low-sim")
-	}
-}
-
-// BenchmarkAblationDepthThreshold regenerates the vp-prefix depth ablation.
-func BenchmarkAblationDepthThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunAblateDepth(benchScale(), []int{2, 4, 6}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationSecondTier regenerates the intra-group placement
-// ablation (flat SHA-1 vs second-tier vp-hash).
-func BenchmarkAblationSecondTier(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAblateTier2(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.FlatTouchedAvg, "flat-parallelism")
-		b.ReportMetric(res.VPTouchedAvg, "vp-parallelism")
-	}
-}
-
-// BenchmarkAblationBatchInsert regenerates the vp-tree population ablation.
-func BenchmarkAblationBatchInsert(b *testing.B) {
-	s := benchScale()
-	s.DBSequences = 10
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunAblateInsert(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBucketSize regenerates the leaf bucket ablation.
-func BenchmarkAblationBucketSize(b *testing.B) {
-	s := benchScale()
-	s.DBSequences = 10
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunAblateBucket(s, []int{8, 32, 128}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- micro-benchmarks of the hot paths ---
 
 func randomProteinB(rng *rand.Rand, n int) []byte {
 	const letters = "ARNDCQEGHILKMFPSTWYV"

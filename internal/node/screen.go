@@ -204,14 +204,23 @@ type screenSearch struct {
 
 // nearest returns the n keys nearest to window by (distance, reference) among
 // those that hold window's byte at minMatch or more positions, nearest first,
-// and how many keys passed that screen (each cost one distance). minMatch 0
+// and how many keys passed the screen (each cost one distance). minMatch 0
 // passes every key; minMatch above the key length passes none. The result is
 // a function of the set of keys alone, not of the order they were added in,
 // and stays valid until the next lookup on st. A key's distance is summed
 // from its codes, decoded from the planes, in a table of window position by
 // key code copied from s.dist (computed, for a byte that is not a letter):
 // as the metric sums over positions, it equals the metric's
-// Distance(window, key).
+// Distance(window, key). A metric's distances are integers and zero only
+// between equal letters, so where every window byte is a letter, or a byte the
+// metric puts at distance 1 or more from every letter, each position a key
+// misses costs at least 1 and d >= w - matches (with equality under Hamming
+// distance). Then once the heap holds n keys with worst distance d* the
+// screen of every later 64-key group asks for w - d* matches: a key with
+// fewer is farther than d* and cannot enter, while a key at d* still competes
+// on its reference. The candidates are the same; the count of keys that
+// passed falls where the raise binds. A window byte at distance 0 from some
+// letter (lower case, under a matrix metric) turns the raise off.
 func (s *screen) nearest(st *screenSearch, window []byte, n, minMatch int) ([]candidate, int) {
 	st.heap = st.heap[:0]
 	if n <= 0 || minMatch > s.w || s.len() == 0 {
@@ -229,11 +238,13 @@ func (s *screen) nearest(st *screenSearch, window []byte, n, minMatch int) ([]ca
 	st.hi = slices.Grow(st.hi[:0], nhi)[:nhi]
 	window = window[:s.w]
 	st.dist = slices.Grow(st.dist[:0], s.w)[:s.w]
+	raise := true // every position a key misses costs at least 1
 	for i, c := range window {
 		if code := s.codes[c]; code != noCode {
 			st.dist[i] = s.dist[code]
 		} else {
 			s.distRow(&st.dist[i], c, &st.pair)
+			raise = raise && !slices.Contains(st.dist[i][:len(s.letters)], 0)
 		}
 	}
 	eligible := 0
@@ -254,6 +265,9 @@ func (s *screen) nearest(st *screenSearch, window []byte, n, minMatch int) ([]ca
 			}
 			eligible++
 			st.push(candidate{d, s.refs[k], k}, n)
+		}
+		if raise && len(st.heap) == n {
+			minMatch = max(minMatch, s.w-st.heap[0].dist)
 		}
 	}
 	slices.SortFunc(st.heap, func(a, b candidate) int {

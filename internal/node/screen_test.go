@@ -25,13 +25,15 @@ import (
 // query windows that may hold bytes outside the alphabet and every minMatch
 // from 0 to w+1, the keys that pass must be exactly those with
 // metric.MatchCount >= minMatch, the n nearest must be those of a
-// brute-force sort by (metric.Distance, reference), and every candidate's
-// c-score read from the planes must equal cScore of its content, to the bit,
-// under BLOSUM62 or PAM250 for protein and the DNA matrix for DNA. Block
-// lengths 31, 32 and 33 straddle the count width the kernel keeps in
-// registers. When bit 6 of nIn is set the screen carries a spare plane, so
-// that the paths for any plane count are checked beside those unrolled for
-// the shipped shapes, 16 positions of 5 planes (protein) or 3 (DNA).
+// brute-force sort by (metric.Distance, reference) — with the threshold
+// raised as the heap fills, so that a lookup for n may pass fewer keys than
+// match, never more — and every candidate's c-score read from the planes
+// must equal cScore of its content, to the bit, under BLOSUM62 or PAM250 for
+// protein and the DNA matrix for DNA. Block lengths 31, 32 and 33 straddle the count width the
+// kernel keeps in registers. When bit 6 of nIn is set the screen carries a
+// spare plane, so that the paths for any plane count are checked beside
+// those unrolled for the shipped shapes, 16 positions of 5 planes (protein)
+// or 3 (DNA).
 func FuzzScreen(f *testing.F) {
 	f.Add(int64(1), false, uint8(16), uint16(200), uint16(150), uint8(12))
 	f.Add(int64(2), true, uint8(16), uint16(1000), uint16(1000), uint8(12))
@@ -44,6 +46,9 @@ func FuzzScreen(f *testing.F) {
 	f.Add(int64(8), false, uint8(30), uint16(300), uint16(100), uint8(20)) // w = 31
 	f.Add(int64(9), false, uint8(31), uint16(300), uint16(100), uint8(20)) // w = 32
 	f.Add(int64(10), true, uint8(32), uint16(300), uint16(100), uint8(20)) // w = 33
+	f.Add(int64(11), true, uint8(15), uint16(1100), uint16(500), uint8(0)) // DNA, n = 1: the raise fires
+	f.Add(int64(12), true, uint8(11), uint16(900), uint16(0), uint8(4))    // DNA, n = 5, appends only
+	f.Add(int64(60), false, uint8(1), uint16(123), uint16(72), uint8(128)) // a lower-case window byte at distance 0: no raise
 	f.Fuzz(func(t *testing.T, seed int64, dna bool, wIn uint8, count, bulk uint16, nIn uint8) {
 		kind, m := seq.Protein, []*matrix.Matrix{matrix.BLOSUM62, matrix.PAM250}[seed&1]
 		if dna {
@@ -139,9 +144,13 @@ func FuzzScreen(f *testing.F) {
 					t.Fatalf("w=%d minMatch=%d window %q: %d keys pass the screen, want %d\n got  %v\n want %v",
 						w, minMatch, window, eligible, len(want), got, want)
 				}
-				got, _ = sc.nearest(&st, window, n, minMatch)
+				got, eligible = sc.nearest(&st, window, n, minMatch)
 				if top := want[:min(n, len(want))]; !slices.Equal(got, top) {
 					t.Fatalf("w=%d minMatch=%d n=%d: nearest %v, want %v", w, minMatch, n, got, top)
+				}
+				if eligible > len(want) {
+					t.Fatalf("w=%d minMatch=%d n=%d: %d keys pass the screen, %d match",
+						w, minMatch, n, eligible, len(want))
 				}
 			}
 			if len(contents) > 0 {
@@ -248,6 +257,73 @@ func TestForeignResiduesAreRefused(t *testing.T) {
 	}
 }
 
+// dnaScreen is one node's share of a DNA database, 16 positions of 3 planes:
+// the 10,000 keys of 400 random sequences, in the order they were added, and
+// 96 query windows, each a key with half its positions redrawn.
+func dnaScreen(tb testing.TB) (screen, [][]byte, [][]byte) {
+	const w = 16
+	db, err := datagen.New(seq.DNA, 1).Database(400, 40, 0, "dna")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sc := newScreen(seq.DNA, w, metric.ForKind(seq.DNA))
+	var keys [][]byte
+	for _, s := range db.Seqs {
+		for start := 0; start+w <= s.Len(); start++ {
+			keys = append(keys, s.Window(start, w))
+			sc.add(keys[len(keys)-1], invindex.PackRef(s.ID, start))
+		}
+	}
+	letters := seq.AlphabetFor(seq.DNA).Letters()
+	rng := rand.New(rand.NewSource(1))
+	windows := make([][]byte, 96)
+	for i := range windows {
+		windows[i] = bytes.Clone(keys[rng.Intn(len(keys))])
+		for j := range windows[i] {
+			if rng.Intn(2) == 0 {
+				windows[i][j] = letters[rng.Intn(len(letters))]
+			}
+		}
+	}
+	return sc, keys, windows
+}
+
+// TestScreenHammingRaise: on a DNA screen at the default identity, where about
+// a quarter of the keys match a window at minMatch positions, the threshold
+// raised as the n-best heap fills passes far fewer keys than match, and the n
+// nearest are still those of a brute-force sort by (distance, reference).
+func TestScreenHammingRaise(t *testing.T) {
+	sc, keys, windows := dnaScreen(t)
+	p := wire.DefaultParams()
+	minMatch := minMatches(p.Identity, sc.w)
+	var st screenSearch
+	passed, matched := 0, 0
+	for _, window := range windows {
+		var want []candidate
+		for k, key := range keys {
+			if metric.MatchCount(window, key) >= minMatch {
+				want = append(want, candidate{sc.met.Distance(window, key), sc.refs[k], k})
+			}
+		}
+		slices.SortFunc(want, func(a, b candidate) int {
+			return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.ref, b.ref))
+		})
+		got, eligible := sc.nearest(&st, window, p.Neighbors, minMatch)
+		if top := want[:min(p.Neighbors, len(want))]; !slices.Equal(got, top) {
+			t.Fatalf("window %q: nearest %v, want %v", window, got, top)
+		}
+		if eligible > len(want) {
+			t.Fatalf("window %q: %d keys pass the screen, only %d match", window, eligible, len(want))
+		}
+		passed, matched = passed+eligible, matched+len(want)
+	}
+	t.Logf("%d windows: %.1f keys pass per lookup, %.1f match", len(windows),
+		float64(passed)/float64(len(windows)), float64(matched)/float64(len(windows)))
+	if passed*4 > matched {
+		t.Fatalf("%d keys passed, %d match: the raised threshold let through more than a quarter", passed, matched)
+	}
+}
+
 // BenchmarkScreenLookup times the screen's lookup at the default search
 // parameters, per lookup and per key screened. "protein" is the query_short
 // placement, 16 positions of 5 planes: every probe window on every node it is
@@ -279,31 +355,8 @@ func BenchmarkScreenLookup(b *testing.B) {
 		report(b, lookups, keys, eligible)
 	})
 	b.Run("dna", func(b *testing.B) {
-		const w = 16
-		db, err := datagen.New(seq.DNA, 1).Database(400, 40, 0, "dna")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc := newScreen(seq.DNA, w, metric.ForKind(seq.DNA))
-		var all [][]byte
-		for _, s := range db.Seqs {
-			for start := 0; start+w <= s.Len(); start++ {
-				all = append(all, s.Window(start, w))
-				sc.add(all[len(all)-1], invindex.PackRef(s.ID, start))
-			}
-		}
-		letters := seq.AlphabetFor(seq.DNA).Letters()
-		rng := rand.New(rand.NewSource(1))
-		windows := make([][]byte, 96)
-		for i := range windows {
-			windows[i] = bytes.Clone(all[rng.Intn(len(all))])
-			for j := range windows[i] {
-				if rng.Intn(2) == 0 {
-					windows[i][j] = letters[rng.Intn(len(letters))]
-				}
-			}
-		}
-		minMatch := minMatches(p.Identity, w)
+		sc, _, windows := dnaScreen(b)
+		minMatch := minMatches(p.Identity, sc.w)
 		var st screenSearch
 		lookups, keys, eligible := 0, 0, 0
 		b.ResetTimer()

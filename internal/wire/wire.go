@@ -19,7 +19,8 @@ import (
 )
 
 // Params are the user-facing query parameters, one field per row of the
-// paper's Table I.
+// paper's Table I: the row's letter leads each field's comment, Validate
+// checks the row's range and DefaultParams gives its default.
 type Params struct {
 	Step      int     // k: sliding window step over the query
 	Neighbors int     // n: nearest neighbours fetched per subquery
@@ -388,20 +389,14 @@ type SketchFetchResult struct {
 // Stats queries a node's storage counters.
 type Stats struct{}
 
-// StatsResult reports per-node storage and work counters; the
-// load-balancing evaluation (Fig. 5) reads the storage fields and the
-// scalability evaluation (Fig. 6c) reads BusyNS, the cumulative time the
-// node has spent answering LocalSearch requests. On an in-process cluster
-// every node shares one machine's cores, so the *maximum per-node busy
-// time* — the critical path — models the turnaround a deployment with one
-// machine per node would see.
+// StatsResult reports per-node storage and work counters.
 type StatsResult struct {
 	Node      string
 	Blocks    int
 	Residues  int
 	Sequences int
-	TreeSize  int // keys in the node's search index, named for the vp-tree it once was
-	BusyNS    int64
+	TreeSize  int   // keys in the node's search index, named for the vp-tree it once was
+	BusyNS    int64 // cumulative time spent answering LocalSearch requests
 	// TopoNodes is the cluster size in the node's own topology view; a node
 	// that missed an UpdateTopology broadcast disagrees with the
 	// coordinator here, which the self-healing tests assert against.
