@@ -24,9 +24,9 @@ func shareSpread(counts []int, total int) float64 {
 // TestTwoTierBalanceNoWorseThanFlat is the paper's Fig. 5 (§VI-B): indexed
 // into 20 nodes in 4 groups, the seed-1 400 × 500 database spreads its
 // blocks over the nodes no less evenly under the two-tier placement (vp-prefix
-// LSH to a group, SHA-1 within it) than under one flat SHA-1 ring over every
-// node. At 4 nodes in 2 groups the claim does not hold (two-tier 3.37 pp
-// against flat 3.19), so the test runs at the size the claim is made for.
+// LSH to a group, then SHA-1 of the block's 256-residue region within it) than
+// under one flat SHA-1 ring of block contents over every node. The test runs
+// at the size the claim is made for.
 func TestTwoTierBalanceNoWorseThanFlat(t *testing.T) {
 	ctx := context.Background()
 	db, err := datagen.New(seq.Protein, 1).Database(400, 500, 100, "nr")

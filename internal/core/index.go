@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 
+	"mendel/internal/dht"
 	"mendel/internal/invindex"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
@@ -27,7 +28,8 @@ const indexBatchBlocks = 4096
 //     for gapped extension);
 //  3. every sequence is fragmented into stride-1 blocks, each hashed first
 //     to a group (vp-prefix tree) and then to a node within the group
-//     (flat SHA-1 ring), and shipped in batches.
+//     (a SHA-1 ring keyed by the block's sequence and 256-residue region),
+//     and shipped in batches.
 //
 // Sequence IDs are remapped onto a cluster-global dense ID space so Index
 // may be called repeatedly to grow the database.
@@ -288,12 +290,13 @@ func shipBatchCap(set *seq.Set, blockCfg invindex.Config, replicas, nodes int) i
 // shipBlocks is the ingest pipeline: one fragmentation worker per core
 // (GOMAXPROCS; a one-core host runs the same pipeline with one worker) pulls
 // whole sequences from a feed, fragments them into blocks and hashes each
-// through both DHT tiers (vp-prefix tree, then the group's SHA-1 ring),
-// accumulating worker-local per-node batches; full batches are handed to one
-// sender goroutine per node, which serializes that node's IndexBlocks RPCs.
-// Fragmenting/hashing (CPU) thus overlaps with RPC encode/transfer, and no
-// two goroutines ever write to the same node concurrently. The first error
-// cancels the pipeline; block placement is a pure function of content, so
+// through both DHT tiers (vp-prefix tree, then dht.Topology.Place, resolved
+// once per group and 256-residue region), accumulating worker-local per-node
+// batches; full batches are handed to one sender goroutine per node, which
+// serializes that node's IndexBlocks RPCs. Fragmenting/hashing (CPU) thus
+// overlaps with RPC encode/transfer, and no two goroutines ever write to the
+// same node concurrently. The first error cancels the pipeline; block
+// placement is a pure function of the block's content and reference, so
 // concurrency never changes where a block lands, and staging (see
 // dispatchBlocks) keeps the trees deterministic.
 func (c *Cluster) shipBlocks(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, w *sketchWrite) error {
@@ -349,14 +352,25 @@ func (c *Cluster) shipBlocks(ctx context.Context, set *seq.Set, base seq.ID, blo
 				case <-ctx.Done():
 				}
 			}
+			// regionReps[g] is group g's replica set for the current region,
+			// resolved on the region's first block that the tree sends to g.
+			regionReps := make([][]string, w.topo.Groups())
 			for s := range seqCh {
 				if ctx.Err() != nil {
 					continue // drain the feed after a failure
 				}
 				gid := base + s.ID
+				region := -1
 				for _, b := range invindex.Blocks(s, blockCfg) {
+					if r := b.Start >> dht.RegionShift; r != region {
+						region = r
+						clear(regionReps)
+					}
 					group := tree.Group(b.Content)
-					for _, node := range w.topo.ReplicasFor(group, b.Content, replicas) {
+					if regionReps[group] == nil {
+						regionReps[group] = w.topo.Place(group, gid, b.Start, replicas)
+					}
+					for _, node := range regionReps[group] {
 						if w.fold {
 							placed = append(placed, placement{group, b.Content})
 						}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"mendel/internal/invindex"
 	"mendel/internal/obs"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
@@ -22,9 +24,10 @@ type RepairReport struct {
 	// SequencesMoved is the number of sequence-repository shards
 	// re-replicated.
 	SequencesMoved int
-	// Unrepairable counts blocks whose every replica is on a down node —
-	// data the pass could not restore (it stays scheduled implicitly: a
-	// later pass sees the same diff once a holder returns).
+	// Unrepairable counts sequence-repository shards that no reachable node
+	// holds. A block whose every replica is on a down node is in no
+	// manifest, so a pass cannot see it; a later pass restores it once a
+	// holder returns.
 	Unrepairable int
 	// PushErrors counts transfers that failed; the next pass retries them.
 	PushErrors int
@@ -48,7 +51,8 @@ func (r *RepairReport) String() string {
 // missing copies directly to the nodes that should hold them — through the
 // staged IndexBlocks/BuildIndex path, so repaired indexes grow in
 // deterministic bulk appends. Block contents never pass through the
-// coordinator; manifests carry placement hashes instead.
+// coordinator: placement is a function of the block reference
+// (dht.Topology.Place), so manifests carry references only.
 func (c *Cluster) Repair(ctx context.Context) (*RepairReport, error) {
 	groups := make([]int, c.topology().Groups())
 	for i := range groups {
@@ -93,60 +97,33 @@ func (c *Cluster) repairGroups(ctx context.Context, groups []int, withSeqs bool)
 		return nil, fmt.Errorf("core: repair: no node answered the manifest sweep")
 	}
 
-	// Phase 2: per-group diff and block transfer plan.
+	// Phase 2: per-group diff and block transfer plan. A block held in group
+	// g belongs on g's Place replicas of its reference.
 	topo := c.topology()
 	replicas := c.cfg.replicas()
 	plan := make(map[[2]string][]uint64) // {source, target} -> refs
 	targets := make(map[string]bool)
 	for _, g := range groups {
-		type blockInfo struct {
-			hash    uint64
-			holders []string
-		}
-		universe := make(map[uint64]*blockInfo)
+		holders := make(map[uint64][]string) // ref -> nodes holding it
 		for _, m := range topo.GroupNodes(g) {
-			man, ok := manifests[m]
-			if !ok {
-				continue
-			}
-			for i, ref := range man.Refs {
-				info := universe[ref]
-				if info == nil {
-					info = &blockInfo{hash: man.Hashes[i]}
-					universe[ref] = info
-				}
-				info.holders = append(info.holders, m)
+			for _, ref := range manifests[m].Refs {
+				holders[ref] = append(holders[ref], m)
 			}
 		}
-		for ref, info := range universe {
-			desired := topo.ReplicasForHash(g, info.hash, replicas)
-			for _, d := range desired {
+		for ref, hs := range holders {
+			id, start := invindex.UnpackRef(ref)
+			for _, d := range topo.Place(g, id, start, replicas) {
 				if _, live := manifests[d]; !live {
 					continue // down: a later pass covers it
 				}
-				held := false
-				for _, h := range info.holders {
-					if h == d {
-						held = true
-						break
-					}
-				}
-				if held {
+				if slices.Contains(hs, d) {
 					continue
 				}
 				// Manifest holders are alive by construction; pick the
 				// smallest address for a deterministic plan.
-				src := info.holders[0]
-				for _, h := range info.holders[1:] {
-					if h < src {
-						src = h
-					}
-				}
+				src := slices.Min(hs)
 				plan[[2]string{src, d}] = append(plan[[2]string{src, d}], ref)
 				targets[d] = true
-			}
-			if len(info.holders) == 0 {
-				rep.Unrepairable++
 			}
 		}
 	}

@@ -145,27 +145,3 @@ func TestQueryEpsConfig(t *testing.T) {
 		t.Fatalf("queryEps = %d", got)
 	}
 }
-
-func TestBusyCountersAdvance(t *testing.T) {
-	ip := newTestCluster(t, 4, 2)
-	rng := rand.New(rand.NewSource(105))
-	ctx := context.Background()
-	db := buildTestDB(rng, 10, 300)
-	if err := ip.Index(ctx, db); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ip.Search(ctx, db.Seqs[1].Data[20:140], defaultTestParams()); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := ip.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	busy := int64(0)
-	for _, s := range stats {
-		busy += s.BusyNS
-	}
-	if busy <= 0 {
-		t.Fatal("no node reported busy time after a search")
-	}
-}

@@ -3,7 +3,8 @@
 // first tier (the vp-prefix tree, package vphash) maps data to a group by
 // similarity, and the second tier — this package — disperses data evenly
 // among the group's nodes with a flat SHA-1 consistent-hash ring, the
-// "tried-and-true flat hashing scheme" of §V-A2.
+// "tried-and-true flat hashing scheme" of §V-A2. The ring hashes a block's
+// region (Topology.Place), not its content as the paper does.
 //
 // Every node holds the full topology (zero-hop routing, as in Dynamo), so
 // requests go directly to their destination without overlay hops. The
@@ -116,14 +117,11 @@ func (r *Ring) Lookup(key []byte) string {
 // the replica set used when replication is enabled. n is clamped to the
 // ring size.
 func (r *Ring) LookupN(key []byte, n int) []string {
-	return r.LookupNHash(keyHash(key), n)
+	return r.lookupN(keyHash(key), n)
 }
 
-// LookupNHash is LookupN for a precomputed key hash. Anti-entropy repair
-// uses it: block manifests ship KeyHash(content) instead of the contents
-// themselves, so the coordinator can recompute placement for millions of
-// blocks without ever holding their bytes.
-func (r *Ring) LookupNHash(h uint64, n int) []string {
+// lookupN is LookupN for a key already hashed.
+func (r *Ring) lookupN(h uint64, n int) []string {
 	if len(r.points) == 0 {
 		panic("dht: lookup on empty ring")
 	}
@@ -155,6 +153,3 @@ func keyHash(key []byte) uint64 {
 	h := sha1.Sum(key)
 	return binary.BigEndian.Uint64(h[:8])
 }
-
-// KeyHash exposes the ring's key hash for diagnostics and load studies.
-func KeyHash(key []byte) uint64 { return keyHash(key) }

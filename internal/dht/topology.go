@@ -1,9 +1,17 @@
 package dht
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"mendel/internal/seq"
 )
+
+// RegionShift sets the second tier's unit of placement: the blocks of one
+// sequence whose starts agree above the low RegionShift bits form a region
+// of 256 residues, and each group places a region as a whole.
+const RegionShift = 8
 
 // Topology is the cluster layout every Mendel node shares: an ordered list
 // of groups, each backed by its own consistent-hash ring. Group membership
@@ -66,19 +74,27 @@ func (t *Topology) GroupOf(node string) (int, bool) {
 	return g, ok
 }
 
-// NodeFor returns the node within group g that owns key — the second-tier
-// flat hash placement.
+// NodeFor returns the node within group g that owns key on the group's ring.
 func (t *Topology) NodeFor(g int, key []byte) string { return t.groups[g].Lookup(key) }
 
-// ReplicasFor returns the n-node replica set within group g for key.
+// ReplicasFor returns the n-node replica set within group g for an arbitrary
+// key. Blocks are placed by Place, not by this; the benchmark's replay still
+// keys it on block content.
 func (t *Topology) ReplicasFor(g int, key []byte, n int) []string {
 	return t.groups[g].LookupN(key, n)
 }
 
-// ReplicasForHash is ReplicasFor with a precomputed key hash, for callers
-// (anti-entropy repair) that know KeyHash(key) but not key itself.
-func (t *Topology) ReplicasForHash(g int, h uint64, n int) []string {
-	return t.groups[g].LookupNHash(h, n)
+// Place returns the n-node replica set within group g that holds the block
+// of sequence id starting at start: the second-tier placement that ingest
+// and repair share. It hashes the block's region (id, start >> RegionShift)
+// onto the group's ring, so every block of a region that the first tier
+// sends to g lands on the same nodes, their contexts form one run there, and
+// placement is a function of the block reference alone.
+func (t *Topology) Place(g int, id seq.ID, start, n int) []string {
+	var key [8]byte
+	binary.BigEndian.PutUint32(key[:4], uint32(id))
+	binary.BigEndian.PutUint32(key[4:], uint32(start>>RegionShift))
+	return t.groups[g].lookupN(keyHash(key[:]), n)
 }
 
 // AllNodes returns every node address in the cluster, sorted.

@@ -1,9 +1,14 @@
 package dht
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"mendel/internal/seq"
 )
 
 func testGroups(groups, perGroup int) [][]string {
@@ -76,6 +81,62 @@ func TestReplicasFor(t *testing.T) {
 		if g, _ := top.GroupOf(n); g != 1 {
 			t.Fatal("replica outside group")
 		}
+	}
+}
+
+// TestPlaceByRegion checks the second-tier placement: a replica set inside
+// the group, one set for every block of a region, regions spread evenly over
+// the group's nodes, and a pinned digest of the placement of a fixed
+// 20-node topology, since stored blocks and snapshots depend on it.
+func TestPlaceByRegion(t *testing.T) {
+	top, _ := NewTopology(testGroups(2, 5), 0)
+	load := make(map[string]int)
+	for id := seq.ID(0); id < 500; id++ {
+		for region := 0; region < 8; region++ {
+			base := region << RegionShift
+			reps := top.Place(1, id, base, 2)
+			if len(reps) != 2 || reps[0] == reps[1] {
+				t.Fatalf("replicas = %v", reps)
+			}
+			for _, n := range reps {
+				if g, _ := top.GroupOf(n); g != 1 {
+					t.Fatal("replica outside group")
+				}
+			}
+			for _, off := range []int{1, 100, 1<<RegionShift - 1} {
+				if got := top.Place(1, id, base+off, 2); !slices.Equal(got, reps) {
+					t.Fatalf("seq %d: block %d on %v, block %d on %v", id, base+off, got, base, reps)
+				}
+			}
+			load[reps[0]]++
+		}
+	}
+	if len(load) != 5 {
+		t.Fatalf("regions land on %d of 5 nodes", len(load))
+	}
+	for n, c := range load { // 4000 regions over 5 nodes: 800 each on average
+		if c < 600 || c > 1000 {
+			t.Errorf("node %s owns %d of 4000 regions", n, c)
+		}
+	}
+
+	const want = "32463f10b113ee9a7b1d65b45b6f3e25da73b44b030bb5cdf075424e226d0cf0"
+	var nodes []string
+	for i := 0; i < 20; i++ {
+		nodes = append(nodes, fmt.Sprintf("127.0.0.1:%d", 7001+i))
+	}
+	groups, _ := SplitNodes(nodes, 4)
+	pinned, _ := NewTopology(groups, 0)
+	h := sha256.New()
+	for id := seq.ID(0); id < 50; id++ {
+		for start := 0; start < 2000; start += 100 {
+			for g := 0; g < pinned.Groups(); g++ {
+				fmt.Fprintln(h, pinned.Place(g, id, start, 2))
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("placement digest %s, pinned %s", got, want)
 	}
 }
 

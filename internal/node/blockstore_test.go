@@ -3,6 +3,8 @@ package node
 import (
 	"bytes"
 	"context"
+	"crypto/sha1"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -11,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"mendel/internal/dht"
 	"mendel/internal/invindex"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
@@ -562,16 +563,17 @@ func TestViewsReadableWhileWriterAdds(t *testing.T) {
 // hotFrames returns n synthetic protein-geometry blocks (16-residue blocks,
 // 32-residue margins, 400-residue sequences) as the payloads the
 // coordinator's ingest sends to one node: wire.AppendHot frames of perFrame
-// staged blocks. Of each sequence's stride-1 blocks it keeps the one in 20 a
-// 20-node ring would place on one node, so neighbouring blocks are as far
-// apart, and share as much context, as on a node of the default cluster.
+// staged blocks. Of each sequence's stride-1 blocks it keeps one in 20 by a
+// SHA-1 of the content: the scattered layout a node of a 20-node cluster held
+// when placement hashed content, and the worst case for context sharing
+// (the shipped placement by region shares more).
 func hotFrames(tb testing.TB, n, perFrame int) [][]byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(6))
 	var blocks []wire.Block
 	for id := seq.ID(1); len(blocks) < n; id++ {
 		for _, b := range wireBlocks(rng, id, 400, invindex.DefaultConfig) {
-			if dht.KeyHash(b.Content)%20 == 0 {
+			if h := sha1.Sum(b.Content); binary.BigEndian.Uint64(h[:8])%20 == 0 {
 				blocks = append(blocks, b)
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mendel/internal/dht"
@@ -56,9 +55,6 @@ type Node struct {
 	// empty and the coordinator never treats this node's group as
 	// prefilterable.
 	sketch *sketch.Sketch
-
-	// busyNS accumulates time spent in localSearch (atomic).
-	busyNS atomic.Int64
 
 	// Observability sinks; all may be nil (no-op). Set via Observe /
 	// ObserveHistory before serving traffic.
@@ -414,7 +410,6 @@ func (n *Node) stats() wire.StatsResult {
 		Residues:  n.blocks.len() * n.blockLen,
 		Sequences: len(n.seqs),
 		TreeSize:  n.screen.len(),
-		BusyNS:    n.busyNS.Load(),
 		TopoNodes: topoNodes,
 	}
 }

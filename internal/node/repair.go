@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mendel/internal/dht"
 	"mendel/internal/seq"
 	"mendel/internal/wire"
 )
@@ -16,22 +15,16 @@ import (
 const pushBatchBlocks = 4096
 
 // blockManifest answers wire.BlockManifest with this node's inventory:
-// every stored block's packed reference and placement hash, plus the IDs of
-// the sequence shards held. Refs are sorted so manifests are deterministic
-// regardless of ingest order.
+// every stored block's packed reference, plus the IDs of the sequence shards
+// held. Refs are sorted so manifests are deterministic regardless of ingest
+// order.
 func (n *Node) blockManifest() (any, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if !n.booted {
 		return nil, fmt.Errorf("node %s: not bootstrapped", n.addr)
 	}
-	refs := n.blocks.refs()
-	hashes := make([]uint64, len(refs))
-	for i, ref := range refs {
-		b, _ := n.blocks.get(ref)
-		hashes[i] = dht.KeyHash(b.Content)
-	}
-	return wire.BlockManifestResult{Node: n.addr, Refs: refs, Hashes: hashes, Seqs: n.seqIDs()}, nil
+	return wire.BlockManifestResult{Node: n.addr, Refs: n.blocks.refs(), Seqs: n.seqIDs()}, nil
 }
 
 // seqIDs returns the IDs of the sequence shards held, ascending.

@@ -33,7 +33,6 @@ const xDrop = 20
 // two merges for nothing.
 func (n *Node) localSearch(ctx context.Context, r wire.LocalSearch) (any, error) {
 	start := time.Now()
-	defer func() { n.busyNS.Add(time.Since(start).Nanoseconds()) }()
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	// For sampled traces the node records its own local_search span under

@@ -42,7 +42,8 @@ type placedNode struct {
 // scale 1) and 32 planted 120-residue probes at each of 0.9, 0.5 and 0.3
 // similarity, placed the way ingest places it on the default cluster: the
 // vp-prefix group of core.buildHashTree's even sample of 2000 block contents,
-// then the group's ring, Replicas = 1, on 20 nodes in 4 groups.
+// then the group's ring keyed by region (dht.Topology.Place), Replicas = 1,
+// on 20 nodes in 4 groups.
 type placement struct {
 	db     *seq.Set
 	probes []probe
@@ -111,7 +112,7 @@ func placeQueryShort(t testing.TB, scale int) *placement {
 	}
 	for _, s := range db.Seqs {
 		for _, b := range toWire(s, pl.cfg) {
-			pn := pl.nodes[pl.topo.ReplicasFor(pl.hash.Group(b.Content), b.Content, 1)[0]]
+			pn := pl.nodes[pl.topo.Place(pl.hash.Group(b.Content), b.Seq, b.Start, 1)[0]]
 			pos, _ := pn.store.add(&b)
 			pn.slots = append(pn.slots, slot{invindex.PackRef(b.Seq, b.Start), pos})
 		}

@@ -62,13 +62,12 @@ func sampleMessages() []any {
 		Metrics{},
 		MetricsResult{Node: "node-001"},
 		Stats{},
-		StatsResult{Node: "node-001", Blocks: 10, Residues: 160, Sequences: 2, TreeSize: 10, BusyNS: 999, TopoNodes: 6},
+		StatsResult{Node: "node-001", Blocks: 10, Residues: 160, Sequences: 2, TreeSize: 10, TopoNodes: 6},
 		BlockManifest{},
 		BlockManifestResult{
-			Node:   "node-002",
-			Refs:   []uint64{1 << 20, 2 << 20},
-			Hashes: []uint64{0xdeadbeef, 0xcafef00d},
-			Seqs:   []seq.ID{1, 3},
+			Node: "node-002",
+			Refs: []uint64{1 << 20, 2 << 20},
+			Seqs: []seq.ID{1, 3},
 		},
 		PushBlocks{Target: "node-003", Refs: []uint64{42, 43}},
 		PushBlocksAck{Pushed: 2, Missing: 1},

@@ -326,21 +326,22 @@ type TraceFetchResult struct {
 }
 
 // BlockManifest asks a node for a summary of its block and sequence
-// inventory — the read half of anti-entropy repair. The reply carries hashes
-// rather than contents, so a manifest sweep over the whole cluster stays
-// cheap relative to the data it describes.
+// inventory — the read half of anti-entropy repair. The reply carries
+// references rather than contents, so a manifest sweep over the whole
+// cluster stays cheap relative to the data it describes.
 type BlockManifest struct{}
 
-// BlockManifestResult lists a node's holdings: the packed reference and
-// placement hash (dht.KeyHash of the block content) of every stored block,
-// index-aligned, plus the IDs of the sequence-repository shards it holds.
-// The coordinator diffs Hashes against Topology.ReplicasForHash placement to
-// find blocks whose replica set lost a copy.
+// BlockManifestResult lists a node's holdings: the packed reference of every
+// stored block, plus the IDs of the sequence-repository shards it holds.
+// Block placement is a function of the reference (dht.Topology.Place), so
+// the coordinator diffs Refs against it directly to find blocks whose
+// replica set lost a copy. Repair copies a block to its placement and
+// deletes no misplaced copy, so a snapshot written under an older placement
+// (one that hashed block content) needs a one-off re-index, not a repair.
 type BlockManifestResult struct {
-	Node   string
-	Refs   []uint64 // packed (seq, start) block references, sorted
-	Hashes []uint64 // Hashes[i] = dht.KeyHash of the block at Refs[i]
-	Seqs   []seq.ID // sequence-repository shard IDs held, sorted
+	Node string
+	Refs []uint64 // packed (seq, start) block references, sorted
+	Seqs []seq.ID // sequence-repository shard IDs held, sorted
 }
 
 // PushBlocks tells a node (a surviving replica) to re-replicate the listed
@@ -395,8 +396,7 @@ type StatsResult struct {
 	Blocks    int
 	Residues  int
 	Sequences int
-	TreeSize  int   // keys in the node's search index, named for the vp-tree it once was
-	BusyNS    int64 // cumulative time spent answering LocalSearch requests
+	TreeSize  int // keys in the node's search index, named for the vp-tree it once was
 	// TopoNodes is the cluster size in the node's own topology view; a node
 	// that missed an UpdateTopology broadcast disagrees with the
 	// coordinator here, which the self-healing tests assert against.
