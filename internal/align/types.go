@@ -6,7 +6,6 @@
 package align
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 )
@@ -106,82 +105,4 @@ func (a Alignment) Identity(query, subject []byte) float64 {
 		return 0
 	}
 	return float64(matches) / float64(cols)
-}
-
-// Gaps returns the total number of gap columns.
-func (a Alignment) Gaps() int {
-	n := 0
-	for _, op := range a.Ops {
-		if op.Op != OpMatch {
-			n += op.Len
-		}
-	}
-	return n
-}
-
-// Format renders the alignment in the familiar three-line BLAST style:
-// query line, midline (| for identity, + for positive score, space
-// otherwise), subject line. score is computed with the given matrix for the
-// midline '+' marks; pass nil to mark only identities.
-func (a Alignment) Format(query, subject []byte, scorer interface{ Score(a, b byte) int }) string {
-	var q, mid, s bytes.Buffer
-	qi, si := a.QStart, a.SStart
-	for _, op := range a.Ops {
-		for k := 0; k < op.Len; k++ {
-			switch op.Op {
-			case OpMatch:
-				qc, sc := query[qi], subject[si]
-				q.WriteByte(qc)
-				s.WriteByte(sc)
-				switch {
-				case qc == sc:
-					mid.WriteByte('|')
-				case scorer != nil && scorer.Score(qc, sc) > 0:
-					mid.WriteByte('+')
-				default:
-					mid.WriteByte(' ')
-				}
-				qi++
-				si++
-			case OpInsert:
-				q.WriteByte(query[qi])
-				mid.WriteByte(' ')
-				s.WriteByte('-')
-				qi++
-			case OpDelete:
-				q.WriteByte('-')
-				mid.WriteByte(' ')
-				s.WriteByte(subject[si])
-				si++
-			}
-		}
-	}
-	return fmt.Sprintf("Query %5d %s %d\n            %s\nSbjct %5d %s %d\n",
-		a.QStart+1, q.String(), a.QEnd, mid.String(), a.SStart+1, s.String(), a.SEnd)
-}
-
-// consistent verifies that the CIGAR spans match the segment coordinates;
-// used by tests and debug assertions.
-func (a Alignment) consistent() error {
-	qlen, slen := 0, 0
-	for _, op := range a.Ops {
-		if op.Len <= 0 {
-			return fmt.Errorf("align: non-positive op length %d%c", op.Len, byte(op.Op))
-		}
-		switch op.Op {
-		case OpMatch:
-			qlen += op.Len
-			slen += op.Len
-		case OpInsert:
-			qlen += op.Len
-		case OpDelete:
-			slen += op.Len
-		default:
-			return fmt.Errorf("align: unknown op %q", byte(op.Op))
-		}
-	}
-	if qlen != a.QLen() || slen != a.SLen() {
-		return fmt.Errorf("align: CIGAR spans q=%d s=%d, segment q=%d s=%d", qlen, slen, a.QLen(), a.SLen())
-	}
-	return nil
 }

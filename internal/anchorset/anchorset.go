@@ -7,7 +7,6 @@ package anchorset
 import (
 	"sort"
 
-	"mendel/internal/seq"
 	"mendel/internal/wire"
 )
 
@@ -83,25 +82,6 @@ func PerDiagonal(anchors []wire.Anchor) []wire.Anchor {
 		}
 	}
 	return out
-}
-
-// BinBySeq groups anchors by reference sequence, each bin sorted by anchor
-// start position as the paper prescribes for the gapped-extension stage.
-func BinBySeq(anchors []wire.Anchor) map[seq.ID][]wire.Anchor {
-	bins := make(map[seq.ID][]wire.Anchor)
-	for _, a := range anchors {
-		bins[a.Seq] = append(bins[a.Seq], a)
-	}
-	for id := range bins {
-		b := bins[id]
-		sort.Slice(b, func(i, j int) bool {
-			if b[i].SStart != b[j].SStart {
-				return b[i].SStart < b[j].SStart
-			}
-			return b[i].Diagonal() < b[j].Diagonal()
-		})
-	}
-	return bins
 }
 
 // Best returns the n highest-scoring anchors (ties broken canonically)

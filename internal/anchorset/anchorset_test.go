@@ -135,21 +135,6 @@ func TestMergeOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestBinBySeq(t *testing.T) {
-	in := []wire.Anchor{
-		{Seq: 2, SStart: 30, SEnd: 40},
-		{Seq: 1, SStart: 10, SEnd: 20},
-		{Seq: 2, SStart: 5, SEnd: 12},
-	}
-	bins := BinBySeq(in)
-	if len(bins) != 2 {
-		t.Fatalf("bins = %d", len(bins))
-	}
-	if got := bins[2]; len(got) != 2 || got[0].SStart != 5 || got[1].SStart != 30 {
-		t.Fatalf("seq 2 bin = %+v", got)
-	}
-}
-
 func TestBest(t *testing.T) {
 	in := []wire.Anchor{
 		{Seq: 1, SStart: 0, Score: 5},

@@ -374,19 +374,15 @@ func (c *Cluster) recoverNode(ctx context.Context, addr string, booted bool) err
 		return fmt.Errorf("core: topology re-push to %s: %w", addr, err)
 	}
 
-	blocks, seqs := c.hints.take(addr)
-	if !booted || len(blocks) > 0 {
+	runs, seqs := c.hints.take(addr)
+	if !booted || len(runs) > 0 {
 		// The node's sketch changes outside a write: the next one must pull.
 		defer c.invalidateSketches()
 	}
 	replay := func() error {
-		for start := 0; start < len(blocks); start += indexBatchBlocks {
-			end := start + indexBatchBlocks
-			if end > len(blocks) {
-				end = len(blocks)
-			}
-			if _, err := c.caller.Call(ctx, addr, wire.IndexBlocks{Blocks: blocks[start:end], Stage: true}); err != nil {
-				return fmt.Errorf("core: replaying %d hinted blocks to %s: %w", end-start, addr, err)
+		for _, b := range wire.BatchRuns(runs, indexBatchBlocks) {
+			if _, err := c.caller.Call(ctx, addr, wire.IndexBlocks{Runs: b, Stage: true}); err != nil {
+				return fmt.Errorf("core: replaying %d hinted runs to %s: %w", len(b), addr, err)
 			}
 		}
 		if seqs != nil && len(seqs.IDs) > 0 {
@@ -397,10 +393,10 @@ func (c *Cluster) recoverNode(ctx context.Context, addr string, booted bool) err
 		return nil
 	}
 	if err := replay(); err != nil {
-		c.hints.restore(addr, blocks, seqs)
+		c.hints.restore(addr, runs, seqs)
 		return err
 	}
-	c.reg.Counter("hints_replayed").Add(int64(len(blocks)))
+	c.reg.Counter("hints_replayed").Add(int64(runBlocks(runs)))
 	if seqs != nil {
 		c.reg.Counter("hints_replayed").Add(int64(len(seqs.IDs)))
 	}

@@ -7,31 +7,40 @@ import (
 )
 
 // hintStore is the coordinator's hinted-handoff queue (the Dynamo
-// technique): when ingest cannot reach a replica, the blocks and sequence
-// shards destined for it are parked here instead of being dropped, and the
-// health monitor replays them when the node returns. A mid-ingest crash
-// therefore loses zero blocks — the write set is preserved verbatim, just
-// deferred.
+// technique): when ingest cannot reach a replica, the runs of blocks and the
+// sequence shards destined for it are parked here instead of being dropped,
+// and the health monitor replays them when the node returns. A mid-ingest
+// crash therefore loses zero blocks — the write set is preserved verbatim,
+// just deferred.
 type hintStore struct {
-	mu     sync.Mutex
-	blocks map[string][]wire.Block
-	seqs   map[string]*wire.StoreSequences
+	mu   sync.Mutex
+	runs map[string][]wire.Run
+	seqs map[string]*wire.StoreSequences
 }
 
 func newHintStore() *hintStore {
 	return &hintStore{
-		blocks: make(map[string][]wire.Block),
-		seqs:   make(map[string]*wire.StoreSequences),
+		runs: make(map[string][]wire.Run),
+		seqs: make(map[string]*wire.StoreSequences),
 	}
 }
 
-// addBlocks parks blocks destined for addr.
-func (h *hintStore) addBlocks(addr string, blocks []wire.Block) {
-	if len(blocks) == 0 {
+// runBlocks returns the number of blocks (keys) runs hold.
+func runBlocks(runs []wire.Run) int {
+	n := 0
+	for _, r := range runs {
+		n += len(r.Keys)
+	}
+	return n
+}
+
+// addRuns parks runs destined for addr.
+func (h *hintStore) addRuns(addr string, runs []wire.Run) {
+	if len(runs) == 0 {
 		return
 	}
 	h.mu.Lock()
-	h.blocks[addr] = append(h.blocks[addr], blocks...)
+	h.runs[addr] = append(h.runs[addr], runs...)
 	h.mu.Unlock()
 }
 
@@ -55,21 +64,21 @@ func (h *hintStore) addSequences(addr string, msg wire.StoreSequences) {
 
 // take removes and returns everything queued for addr. On a failed replay
 // the caller must restore what it took.
-func (h *hintStore) take(addr string) ([]wire.Block, *wire.StoreSequences) {
+func (h *hintStore) take(addr string) ([]wire.Run, *wire.StoreSequences) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	blocks := h.blocks[addr]
+	runs := h.runs[addr]
 	seqs := h.seqs[addr]
-	delete(h.blocks, addr)
+	delete(h.runs, addr)
 	delete(h.seqs, addr)
-	return blocks, seqs
+	return runs, seqs
 }
 
 // restore requeues hints a failed replay could not deliver.
-func (h *hintStore) restore(addr string, blocks []wire.Block, seqs *wire.StoreSequences) {
+func (h *hintStore) restore(addr string, runs []wire.Run, seqs *wire.StoreSequences) {
 	h.mu.Lock()
-	if len(blocks) > 0 {
-		h.blocks[addr] = append(blocks, h.blocks[addr]...)
+	if len(runs) > 0 {
+		h.runs[addr] = append(runs, h.runs[addr]...)
 	}
 	if seqs != nil && len(seqs.IDs) > 0 {
 		if q := h.seqs[addr]; q != nil {
@@ -88,8 +97,8 @@ func (h *hintStore) pending() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var n int64
-	for _, b := range h.blocks {
-		n += int64(len(b))
+	for _, r := range h.runs {
+		n += int64(runBlocks(r))
 	}
 	for _, s := range h.seqs {
 		n += int64(len(s.IDs))
@@ -101,7 +110,7 @@ func (h *hintStore) pending() int64 {
 func (h *hintStore) pendingFor(addr string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := len(h.blocks[addr])
+	n := runBlocks(h.runs[addr])
 	if s := h.seqs[addr]; s != nil {
 		n += len(s.IDs)
 	}
@@ -112,9 +121,9 @@ func (h *hintStore) pendingFor(addr string) int {
 func (h *hintStore) addrs() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.blocks)+len(h.seqs))
+	out := make([]string, 0, len(h.runs)+len(h.seqs))
 	seen := make(map[string]bool)
-	for a := range h.blocks {
+	for a := range h.runs {
 		seen[a] = true
 		out = append(out, a)
 	}

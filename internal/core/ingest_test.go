@@ -3,15 +3,20 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"mendel/internal/datagen"
 	"mendel/internal/invindex"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
+	"mendel/internal/wire"
 )
 
 // setProcs sets GOMAXPROCS to n until the test ends. Index runs one
@@ -180,4 +185,57 @@ func TestShipBatchCapFollowsTheWrite(t *testing.T) {
 	if got := shipBatchCap(bulk, cfg, 1, 20); got != indexBatchBlocks {
 		t.Fatalf("bulk write: cap %d, want a full batch %d", got, indexBatchBlocks)
 	}
+}
+
+// TestIngestStoresAreIdentical indexes benchmark/scenario.go's query_short
+// database at seed 1 (400 protein sequences of 500±100 residues) into the
+// default 20-node, 4-group cluster through the codec and pins what every node
+// stores: a SHA-256 over each node's blocks in reference order — address,
+// reference, context offset and context bytes — and the summed block-store
+// bytes. One ingest worker makes the chunk layout, and so the bytes,
+// independent of scheduling.
+func TestIngestStoresAreIdentical(t *testing.T) {
+	const (
+		wantDigest = "563944107258c144b461d29021676c13e0266e13d6233fcb261b8e84af4d9244"
+		wantBytes  = 4428544
+	)
+	if testing.Short() {
+		t.Skip("indexes 194k blocks")
+	}
+	setProcs(t, 1)
+	db, err := datagen.New(seq.Protein, 1*1000003+1).Database(400, 500, 100, "bg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(seq.Protein)
+	cfg.Groups = 4
+	ip, err := NewInProcess(cfg, 20, transport.WithEncodeCheck())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ip.Index(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	h, total := sha256.New(), 0
+	for _, n := range ip.Nodes {
+		var buf bytes.Buffer
+		if err := n.SaveTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var snap struct{ Blocks []wire.Block } // the snapshot's blocks, ascending by reference
+		if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range snap.Blocks {
+			fmt.Fprintf(h, "%s %#x %d %s\n", n.Addr(), invindex.PackRef(b.Seq, b.Start), b.CtxOff, b.Context)
+		}
+		total += n.Health().BlockBytes
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+		t.Errorf("stores digest %s, want %s", got, wantDigest)
+	}
+	if total > wantBytes {
+		t.Errorf("block stores hold %d bytes, want at most %d", total, wantBytes)
+	}
+	t.Logf("block stores hold %d bytes", total)
 }

@@ -254,7 +254,7 @@ func (n *Node) indexBlocks(r wire.IndexBlocks) (any, error) {
 	if !n.booted {
 		return nil, fmt.Errorf("node %s: not bootstrapped", n.addr)
 	}
-	slots, err := n.storeBlocks(r.Blocks)
+	slots, err := n.storeBlocks(r.Blocks, r.Runs)
 	if err != nil {
 		return nil, err
 	}
@@ -269,28 +269,39 @@ func (n *Node) indexBlocks(r wire.IndexBlocks) (any, error) {
 	return wire.IndexBlocksAck{Accepted: len(slots)}, nil
 }
 
-// storeBlocks copies the blocks the node does not hold yet into its store and
-// sketch and returns their slots. A batch with a malformed block is refused
-// whole, before anything is stored.
-func (n *Node) storeBlocks(blocks []wire.Block) ([]slot, error) {
+// storeBlocks copies the blocks the node does not hold yet, the blocks and
+// then the runs' keys, into its store and sketch and returns their slots. A
+// batch with a malformed block or run is refused whole, before anything is
+// stored.
+func (n *Node) storeBlocks(blocks []wire.Block, runs []wire.Run) ([]slot, error) {
+	keys := len(blocks)
 	for i := range blocks {
 		if err := n.blocks.check(&blocks[i]); err != nil {
 			return nil, fmt.Errorf("node %s: %w", n.addr, err)
 		}
 	}
-	if !n.blocks.room(len(blocks)) {
+	for i := range runs {
+		if err := n.blocks.checkRun(&runs[i]); err != nil {
+			return nil, fmt.Errorf("node %s: %w", n.addr, err)
+		}
+		keys += len(runs[i].Keys)
+	}
+	if !n.blocks.room(keys) {
 		return nil, fmt.Errorf("node %s: block store full at %d blocks", n.addr, n.blocks.len())
 	}
-	slots := make([]slot, 0, len(blocks))
+	slots := make([]slot, 0, keys)
 	for i := range blocks {
-		pos, ok := n.blocks.add(&blocks[i])
-		if !ok {
-			continue // already held: hint replay, repair push or retry
+		if pos, ok := n.blocks.add(&blocks[i]); ok {
+			slots = append(slots, slot{ref: invindex.PackRef(blocks[i].Seq, blocks[i].Start), pos: pos})
 		}
-		if n.sketch != nil {
-			n.sketch.Add(content(n.blocks.chunks, pos, n.blockLen))
+	}
+	for i := range runs {
+		slots = n.blocks.addRun(&runs[i], slots)
+	}
+	if n.sketch != nil {
+		for _, s := range slots {
+			n.sketch.Add(content(n.blocks.chunks, s.pos, n.blockLen))
 		}
-		slots = append(slots, slot{ref: invindex.PackRef(blocks[i].Seq, blocks[i].Start), pos: pos})
 	}
 	return slots, nil
 }

@@ -109,7 +109,7 @@ func (n *Node) LoadFrom(r io.Reader) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	slots, err := n.storeBlocks(snap.Blocks)
+	slots, err := n.storeBlocks(snap.Blocks, nil)
 	if err != nil {
 		return fmt.Errorf("loading snapshot: %w", err)
 	}

@@ -70,22 +70,3 @@ func MaskLowComplexity(data []byte, kind Kind, window int, threshold float64) []
 	}
 	return out
 }
-
-// MaskedFraction reports the fraction of residues carrying the ambiguity
-// mask (X or N), a diagnostic for how aggressive a masking pass was.
-func MaskedFraction(data []byte, kind Kind) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	maskByte := byte('X')
-	if kind == DNA {
-		maskByte = 'N'
-	}
-	n := 0
-	for _, c := range data {
-		if c == maskByte {
-			n++
-		}
-	}
-	return float64(n) / float64(len(data))
-}

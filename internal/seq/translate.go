@@ -94,15 +94,3 @@ func Translate(dna []byte, frame int) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// SixFrames translates a DNA sequence in all six reading frames, skipping
-// frames too short to translate.
-func SixFrames(dna []byte) [][]byte {
-	out := make([][]byte, 0, 6)
-	for frame := 0; frame < 6; frame++ {
-		if p, err := Translate(dna, frame); err == nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -92,18 +92,6 @@ func TestTranslateOutputIsValidProtein(t *testing.T) {
 	}
 }
 
-func TestSixFrames(t *testing.T) {
-	frames := SixFrames([]byte("ATGGCTTGAATG"))
-	if len(frames) != 6 {
-		t.Fatalf("frames = %d", len(frames))
-	}
-	// Short input: some frames drop out.
-	short := SixFrames([]byte("ATGC"))
-	if len(short) != 4 { // frames 0,1 forward and 0,1 reverse have codons
-		t.Fatalf("short frames = %d", len(short))
-	}
-}
-
 func TestGeneticCodeCoversAllCodons(t *testing.T) {
 	seen := map[byte]bool{}
 	stops := 0

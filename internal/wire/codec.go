@@ -144,6 +144,10 @@ func AppendHot(dst []byte, msg any) ([]byte, bool) {
 			dst = appendBytes(dst, b.Context)
 			dst = appendInt(dst, b.CtxOff)
 		}
+		dst = appendUvarint(dst, uint64(len(m.Runs)))
+		for i := range m.Runs {
+			dst = appendRun(dst, &m.Runs[i])
+		}
 		return append(dst, boolByte(m.Stage)), true
 	case IndexBlocksAck:
 		dst = append(dst, tagIndexBlocksAck)
@@ -308,6 +312,12 @@ func decodeHot(r *reader) any {
 					Context: r.bytes(),
 					CtxOff:  r.int(),
 				}
+			}
+		}
+		if n := r.count(4); n > 0 {
+			m.Runs = make([]Run, n)
+			for i := range m.Runs {
+				m.Runs[i] = r.run()
 			}
 		}
 		m.Stage = r.bool()
@@ -489,6 +499,21 @@ func appendAnchors(dst []byte, as []Anchor) []byte {
 		dst = appendInt(dst, a.SStart)
 		dst = appendInt(dst, a.SEnd)
 		dst = appendInt(dst, a.Score)
+	}
+	return dst
+}
+
+// appendRun encodes a run's keys as varint deltas from the previous key
+// (the first from 0): ascending keys a few residues apart take a byte each.
+func appendRun(dst []byte, run *Run) []byte {
+	dst = appendUvarint(dst, uint64(run.Seq))
+	dst = appendInt(dst, run.Start)
+	dst = appendBytes(dst, run.Residues)
+	dst = appendUvarint(dst, uint64(len(run.Keys)))
+	prev := 0
+	for _, k := range run.Keys {
+		dst = appendInt(dst, k-prev)
+		prev = k
 	}
 	return dst
 }
@@ -741,6 +766,19 @@ func (r *reader) anchors() []Anchor {
 		}
 	}
 	return out
+}
+
+func (r *reader) run() Run {
+	run := Run{Seq: seq.ID(r.uvarint()), Start: r.int(), Residues: r.bytes()}
+	if n := r.count(1); n > 0 {
+		run.Keys = make([]int, n)
+		prev := 0
+		for i := range run.Keys {
+			prev += r.int()
+			run.Keys[i] = prev
+		}
+	}
+	return run
 }
 
 func (r *reader) traceContext() obs.TraceContext {

@@ -7,9 +7,9 @@ import (
 	"mendel/internal/seq"
 )
 
-// Benchmark fixtures sized like real query-path traffic: a multi-window
-// subquery, a result with a few dozen anchors, a block-transfer batch, and
-// a coalesced search batch.
+// Benchmark fixtures sized like real traffic: a multi-window subquery, a
+// result with a few dozen anchors, an ingest batch, and a coalesced search
+// batch.
 func benchGroupSearch() GroupSearch {
 	return GroupSearch{
 		Group:     3,
@@ -29,14 +29,38 @@ func benchLocalSearchResult() LocalSearchResult {
 	return LocalSearchResult{Anchors: anchors, KNNNs: 123456, ExtendNs: 7890, Visits: 321}
 }
 
+// benchIndexBlocks is a batch of 4096 keys in the run form ingest ships: 64
+// runs of 336 residues, each holding 64 of the blocks in its stretch, about
+// what one node of a 20-node cluster gets of one 256-residue region.
 func benchIndexBlocks() IndexBlocks {
-	blocks := make([]Block, 32)
-	for i := range blocks {
-		blocks[i] = Block{Seq: seq.ID(i % 4), Start: i * 16,
-			Content: bytes.Repeat([]byte("ACGT"), 4),
-			Context: bytes.Repeat([]byte("ACGT"), 8), CtxOff: 8}
+	runs := make([]Run, 64)
+	residues := bytes.Repeat([]byte("MKVLATGQWHEDRPSY"), 21)
+	for i := range runs {
+		keys := make([]int, 64)
+		for j := range keys {
+			keys[j] = 32 + j*4 + j%3
+		}
+		runs[i] = Run{Seq: seq.ID(i), Start: 256 * (i % 5), Residues: residues, Keys: keys}
 	}
-	return IndexBlocks{Blocks: blocks}
+	return IndexBlocks{Runs: runs, Stage: true}
+}
+
+// indexBlocksKeys is the number of keys (blocks) an IndexBlocks carries.
+func indexBlocksKeys(m IndexBlocks) int {
+	n := len(m.Blocks)
+	for _, r := range m.Runs {
+		n += len(r.Keys)
+	}
+	return n
+}
+
+// reportPerKey adds per-key figures to a codec benchmark of msg.
+func reportPerKey(b *testing.B, msg IndexBlocks) {
+	b.Helper()
+	data, _ := AppendHot(nil, msg)
+	keys := float64(indexBlocksKeys(msg))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
+	b.ReportMetric(float64(len(data))/keys, "wire-B/key")
 }
 
 func benchGroupSearchBatch() GroupSearchBatch {
@@ -92,8 +116,17 @@ func BenchmarkUnmarshalLocalSearchResult(b *testing.B) {
 	benchmarkUnmarshal(b, benchLocalSearchResult())
 }
 
-func BenchmarkMarshalIndexBlocks(b *testing.B)   { benchmarkMarshal(b, benchIndexBlocks()) }
-func BenchmarkUnmarshalIndexBlocks(b *testing.B) { benchmarkUnmarshal(b, benchIndexBlocks()) }
+func BenchmarkMarshalIndexBlocks(b *testing.B) {
+	msg := benchIndexBlocks()
+	benchmarkMarshal(b, msg)
+	reportPerKey(b, msg)
+}
+
+func BenchmarkUnmarshalIndexBlocks(b *testing.B) {
+	msg := benchIndexBlocks()
+	benchmarkUnmarshal(b, msg)
+	reportPerKey(b, msg)
+}
 
 func BenchmarkMarshalGroupSearchBatch(b *testing.B) { benchmarkMarshal(b, benchGroupSearchBatch()) }
 func BenchmarkUnmarshalGroupSearchBatch(b *testing.B) {

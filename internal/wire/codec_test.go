@@ -34,6 +34,8 @@ func hotSampleMessages() []any {
 		LocalSearchResult{},
 		IndexBlocks{},
 		IndexBlocks{Stage: true, Blocks: []Block{{}}},
+		IndexBlocks{Runs: []Run{{}, {Keys: []int{}}}},
+		IndexBlocks{Runs: []Run{{Seq: 1 << 31, Start: -7, Residues: []byte("AC"), Keys: []int{3, -2, 1 << 30, 0}}}},
 		FetchRegion{},
 		Region{},
 		PushBlocks{},
@@ -226,23 +228,33 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 }
 
 // TestCodecZeroCopyAliasing documents the aliasing contract: byte fields of
-// a decoded message are views into the input buffer.
+// a decoded message, a block's Content and a run's Residues among them, are
+// views into the input buffer.
 func TestCodecZeroCopyAliasing(t *testing.T) {
-	in := IndexBlocks{Blocks: []Block{{Seq: 1, Content: []byte("ACGTACGTACGTACGT")}}}
+	in := IndexBlocks{
+		Blocks: []Block{{Seq: 1, Content: []byte("ACGTACGTACGTACGT")}},
+		Runs:   []Run{{Seq: 2, Residues: []byte("MKVLATGGHHPW"), Keys: []int{0, 3}}},
+	}
 	data, _ := AppendHot(nil, in)
 	out, err := DecodeHot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.(IndexBlocks).Blocks[0].Content
-	if !bytes.Equal(got, in.Blocks[0].Content) {
-		t.Fatalf("content changed: %q", got)
-	}
-	// The frame tail is Context-len, CtxOff and Stage (one byte each), so
-	// Content's last byte sits four bytes from the end.
-	data[len(data)-4] ^= 0xFF
-	if bytes.Equal(got, in.Blocks[0].Content) {
-		t.Fatal("decoded Content does not alias the input buffer; zero-copy contract broken")
+	m := out.(IndexBlocks)
+	for _, c := range []struct {
+		name      string
+		got, want []byte
+	}{
+		{"block Content", m.Blocks[0].Content, in.Blocks[0].Content},
+		{"run Residues", m.Runs[0].Residues, in.Runs[0].Residues},
+	} {
+		if !bytes.Equal(c.got, c.want) {
+			t.Fatalf("%s changed: %q", c.name, c.got)
+		}
+		data[bytes.Index(data, c.want)+len(c.want)-1] ^= 0xFF
+		if bytes.Equal(c.got, c.want) {
+			t.Fatalf("decoded %s does not alias the input buffer; zero-copy contract broken", c.name)
+		}
 	}
 }
 

@@ -29,6 +29,10 @@ func sampleMessages() []any {
 			Seq: 7, Start: 160, Content: []byte("ACGTACGTACGTACGT"),
 			Context: []byte("TTACGTACGTACGTACGTAA"), CtxOff: 2,
 		}}},
+		IndexBlocks{Stage: true, Runs: []Run{
+			{Seq: 7, Start: 128, Residues: []byte("TTACGTACGTACGTACGTAACGT"), Keys: []int{0, 1, 5, 7}},
+			{Seq: 9, Residues: []byte("ACGTACGTACGTACGT"), Keys: []int{0}},
+		}},
 		IndexBlocksAck{Accepted: 1},
 		BuildIndex{},
 		BuildIndexAck{Items: 4096},
@@ -228,6 +232,17 @@ func FuzzDecode(f *testing.F) {
 			sameMessage(t, "envelope", msg, again)
 		}
 		if msg, err := DecodeMessage(data); err == nil {
+			if m, ok := msg.(IndexBlocks); ok {
+				// count bounds every slice by the input: a run takes at
+				// least 4 bytes and a key at least 1.
+				keys := 0
+				for _, r := range m.Runs {
+					keys += len(r.Keys)
+				}
+				if 4*len(m.Runs) > len(data) || keys > len(data) {
+					t.Fatalf("%d bytes decoded to %d runs of %d keys", len(data), len(m.Runs), keys)
+				}
+			}
 			out, err := AppendMessage(nil, msg)
 			if err != nil {
 				t.Fatalf("decoded %T but cannot re-encode it: %v", msg, err)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -111,5 +112,24 @@ func TestParamsGobRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBatchRuns(t *testing.T) {
+	run := func(keys int) Run { return Run{Keys: make([]int, keys)} }
+	runs := []Run{run(3), run(5), run(1), run(4), run(6), run(2)}
+	var got [][]int
+	for _, b := range BatchRuns(runs, 6) {
+		var sizes []int
+		for _, r := range b {
+			sizes = append(sizes, len(r.Keys))
+		}
+		got = append(got, sizes)
+	}
+	if want := [][]int{{3, 5}, {1, 4, 6}, {2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("batches of key counts %v, want %v", got, want)
+	}
+	if b := BatchRuns(nil, 6); b != nil {
+		t.Fatalf("no runs: %v", b)
 	}
 }
